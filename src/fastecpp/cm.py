@@ -195,7 +195,7 @@ def _load_poly(d: int, cache_dir: str) -> ClassPolynomial | None:
     except OSError:
         return None
     hl = len(_POLY_MAGIC)
-    if blob[:hl] != _POLY_MAGIC or blob[hl] != _POLY_VERSION:
+    if blob[: hl + 1] != _POLY_MAGIC + bytes([_POLY_VERSION]):
         return None
     try:
         nl = blob.index(b"\n", hl + 1)
@@ -206,10 +206,13 @@ def _load_poly(d: int, cache_dir: str) -> ClassPolynomial | None:
         coeffs = []
         for _ in range(count):
             size = int.from_bytes(blob[pos : pos + 4], "little")
-            pos += 4
-            coeffs.append(int.from_bytes(blob[pos : pos + size], "little", signed=True))
-            pos += size
+            pos += 4 + size
+            if pos > len(blob):
+                return None  # truncated: a length prefix or coefficient is cut
+            coeffs.append(int.from_bytes(blob[pos - size : pos], "little", signed=True))
     except (ValueError, IndexError):
+        return None
+    if pos != len(blob) or not coeffs or coeffs[-1] != 1:
         return None
     return ClassPolynomial(d, coeffs)
 
@@ -222,17 +225,6 @@ def _ptrim(p: list[int]) -> list[int]:
     while p and p[-1] == 0:
         p.pop()
     return p
-
-
-def _pmul(u: list[int], v: list[int], n: int) -> list[int]:
-    if not u or not v:
-        return []
-    out = [0] * (len(u) + len(v) - 1)
-    for i, ui in enumerate(u):
-        if ui:
-            for k, vk in enumerate(v):
-                out[i + k] = (out[i + k] + ui * vk) % n
-    return _ptrim(out)
 
 
 def _pmod(u: list[int], f: list[int], n: int) -> list[int]:
@@ -277,16 +269,76 @@ def _pdiv_exact(u: list[int], f: list[int], n: int) -> list[int]:
     return _ptrim(q)
 
 
-def _ppowmod(base: list[int], e: int, f: list[int], n: int) -> list[int]:
-    result = [1]
-    acc = _pmod(base, f, n)
-    while e:
-        if e & 1:
-            result = _pmod(_pmul(result, acc, n), f, n)
-        e >>= 1
-        if e:
-            acc = _pmod(_pmul(acc, acc, n), f, n)
-    return result
+def _pack(p: list[int], wb: int, order: str = "little") -> int:
+    """Kronecker substitution: p[i] goes into the i-th slot of wb bytes.
+
+    With order "big" the slots are filled from the top, which packs the
+    reversal of p.
+    """
+    return int.from_bytes(b"".join(c.to_bytes(wb, order) for c in p), order)
+
+
+def _unpack(x: int, count: int, wb: int) -> list[int]:
+    """The low `count` slots of the packed integer x."""
+    raw = x.to_bytes(max(count * wb, (x.bit_length() + 7) // 8), "little")
+    return [int.from_bytes(raw[i : i + wb], "little") for i in range(0, count * wb, wb)]
+
+
+class _Modulus:
+    """Residues modulo a monic f of degree d >= 1 over Z/nZ.
+
+    A residue is a dense list of d coefficients in [0, n).  Polynomials
+    are multiplied by Kronecker substitution: each is packed into one
+    integer with a byte-aligned slot per coefficient, wide enough that no
+    slot of a product of two residues carries (d * (n-1)^2 < 2^(8*wb)),
+    so a polynomial product is one big-int product.  A product s is
+    reduced by f with inv = rev(f)^-1 mod x^(d-1) (von zur Gathen &
+    Gerhard, Modern Computer Algebra, sec. 9.1): the quotient of s by f is
+    the reversal of rev(s) * inv mod x^(d-1), so a reduction costs two
+    more packed products.  f is monic, so inv needs no inversion mod n.
+    """
+
+    def __init__(self, f: list[int], n: int):
+        d = len(f) - 1
+        self.f, self.n, self.d = f, n, d
+        self.wb = (2 * n.bit_length() + d.bit_length() + 8) // 8
+        rev = f[::-1]  # rev[0] == 1, so the series inverse is a plain recurrence
+        inv = [1]
+        for k in range(1, d - 1):
+            inv.append(-sum(rev[j] * inv[k - j] for j in range(1, k + 1)) % n)
+        self.inv = _pack(inv, self.wb)
+        self.low = _pack(f[:d], self.wb)
+
+    def reduce(self, s: int) -> list[int]:
+        """The residue of s mod f, for s a packed product of two residues."""
+        n, d, wb = self.n, self.d, self.wb
+        s = _unpack(s, 2 * d - 1, wb)
+        hi = [c % n for c in s[d:]]
+        q_rev = [c % n for c in _unpack(_pack(hi, wb, "big") * self.inv, d - 1, wb)]
+        qf = _unpack(_pack(q_rev, wb, "big") * self.low, d, wb)
+        return [(a - b) % n for a, b in zip(s, qf)]
+
+    def times_linear(self, r: list[int], delta: int) -> list[int]:
+        """r * (x + delta) mod f: a shift and one fold of f."""
+        top = r[-1]
+        return [
+            (lo + delta * c - top * fc) % self.n
+            for lo, c, fc in zip([0] + r[:-1], r, self.f)
+        ]
+
+    def pow_linear(self, delta: int, e: int) -> list[int]:
+        """(x + delta)^e mod f for e >= 1, by left-to-right powering.
+
+        Each bit costs one packed squaring and reduction; a set bit adds
+        only a multiplication by x + delta.
+        """
+        r = self.times_linear([1] + [0] * (self.d - 1), delta)
+        for bit in bin(e)[3:]:
+            x = _pack(r, self.wb)
+            r = self.reduce(x * x)
+            if bit == "1":
+                r = self.times_linear(r, delta)
+        return r
 
 
 def poly_eval_mod(coeffs: list[int], x: int, n: int) -> int:
@@ -300,10 +352,13 @@ def root_mod(poly: ClassPolynomial, n: int, rng: random.Random | None = None) ->
     """One root of the class polynomial modulo the probable prime n.
 
     Splits off the product of linear factors with x^n - x, then isolates
-    a single root by randomised equal-degree splitting.  Any impossible
-    arithmetic along the way (a gcd exposing a factor of n, or no root at
-    all) raises CompositeDetected: for prime n a root must exist whenever
-    the discriminant passed the splitting test.
+    a single root by randomised equal-degree splitting with
+    (x + delta)^((n-1)/2) - 1.  Both powers are computed modulo the monic
+    polynomial by Kronecker substitution, with reduction by the reversed
+    inverse (see `_Modulus`).  Any impossible arithmetic along the way (a
+    gcd exposing a factor of n, or no root at all) raises
+    CompositeDetected: for prime n a root must exist whenever the
+    discriminant passed the splitting test.
     """
     if n % 2 == 0 or n < 3:
         raise ValueError("root_mod: modulus must be odd and >= 3")
@@ -314,8 +369,9 @@ def root_mod(poly: ClassPolynomial, n: int, rng: random.Random | None = None) ->
     f = _pmonic(f, n)
     if len(f) == 2:
         return -f[0] % n
-    xn = _ppowmod([0, 1], n, f, n)
-    g = _pgcd([(a - b) % n for a, b in _zip_sub(xn, [0, 1])], f, n)
+    xn = _Modulus(f, n).pow_linear(0, n)
+    xn[1] = (xn[1] - 1) % n
+    g = _pgcd(xn, f, n)
     if len(g) < 2:
         raise CompositeDetected("class-poly-has-no-root", n=n)
     for _ in range(64):
@@ -325,20 +381,9 @@ def root_mod(poly: ClassPolynomial, n: int, rng: random.Random | None = None) ->
                 raise CompositeDetected("root-check-failed", n=n)
             return root
         delta = rng.randrange(n)
-        t = _ppowmod([delta, 1], (n - 1) // 2, g, n)
-        t = _ptrim([(c - (1 if i == 0 else 0)) % n for i, c in enumerate(_pad(t, 1))])
+        t = _Modulus(g, n).pow_linear(delta, (n - 1) // 2)
+        t[0] = (t[0] - 1) % n
         d = _pgcd(t, g, n)
         if 1 < len(d) < len(g):
             g = d if len(d) * 2 <= len(g) + 1 else _pdiv_exact(g, d, n)
     raise CompositeDetected("equal-degree-split-stalled", n=n)
-
-
-def _pad(p: list[int], min_len: int) -> list[int]:
-    return p + [0] * (min_len - len(p)) if len(p) < min_len else p
-
-
-def _zip_sub(u: list[int], v: list[int]):
-    ln = max(len(u), len(v))
-    u = _pad(u[:], ln)
-    v = _pad(v[:], ln)
-    return zip(u, v)

@@ -1,11 +1,11 @@
 """Elliptic curves over Z/NZ tolerant of composite moduli.
 
-Two arithmetic flavours coexist.  `scalar_mul` works on Jacobian
-projective points with no per-step inversion, the fast path for the
-prover's trial multiplications.  `scalar_mul_checked` works on affine
+Two arithmetic flavours coexist.  `scalar_mul_checked` works on affine
 points with every inversion validated, so a divergence between the prime
-factors of a composite modulus cannot pass silently; the certificate
-verifier uses only this path.
+factors of a composite modulus cannot pass silently; both the prover's
+point search (`find_order_point`) and the certificate verifier use only
+this path.  `scalar_mul` works on Jacobian projective points with no
+per-step inversion; no production code calls it, only the tests.
 """
 
 import math

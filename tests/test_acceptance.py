@@ -454,8 +454,14 @@ def test_criterion_10_determinism(run50, run100, config8, env):
     n, certificate, _, _ = run50
     again, _ = prover.prove_with_report(n, config8, env)
     assert cert.serialize(again) == cert.serialize(certificate)
+    # the 10^50 and 10^100 chains are pinned byte for byte
+    data_dir = os.path.join(os.path.dirname(__file__), "data")
+    for c, name in ((certificate, "cert_10pow50.txt"), (run100[1], "cert_10pow100.txt")):
+        with open(os.path.join(data_dir, name), "r", encoding="ascii") as f:
+            assert cert.serialize(c) == f.read(), name
     for c in (certificate, run100[1]):
         results = [cert.verify(c, workers=w).accepted for w in (1, 3, 8)]
         assert results == [True, True, True]
     _pass(10, "identical (input, seed, workers) reproduce byte-identical "
-              "certificates; verification independent of worker count")
+              "certificates, equal to the pinned 10^50 and 10^100 chains; "
+              "verification independent of worker count")

@@ -101,6 +101,21 @@ def test_class_poly_cache_roundtrip(tmp_path):
     assert (tmp_path / "class_poly_71.bin").exists()
 
 
+def test_class_poly_cache_rejects_damaged_files(tmp_path):
+    d = -1235
+    good = cm.hilbert_class_poly(d, cache_dir=str(tmp_path))
+    path = tmp_path / "class_poly_1235.bin"
+    blob = path.read_bytes()
+    assert cm._load_poly(d, str(tmp_path)).coeffs == good.coeffs
+    # the top coefficient 1 is stored last as a 4-byte length and 1 byte
+    not_monic = blob[:-1] + b"\x02"
+    for damaged in (blob[:-5], blob[:-1], blob[:-300], blob[:9], blob + b"\x00", not_monic):
+        path.write_bytes(damaged)
+        assert cm._load_poly(d, str(tmp_path)) is None
+        assert cm.hilbert_class_poly(d, cache_dir=str(tmp_path)).coeffs == good.coeffs
+        assert path.read_bytes() == blob  # recomputed and written back
+
+
 def test_precision_formula_covers_coefficients(table2000):
     """First-attempt precision must dominate the coefficient sizes."""
     for d in (-23, -71, -479, -1991):
@@ -199,3 +214,82 @@ def test_hilbert_deterministic():
     a = cm.hilbert_class_poly(-479)
     b = cm.hilbert_class_poly(-479)
     assert a.coeffs == b.coeffs
+
+
+# ---------------------------------------------------------------------------
+# packed polynomial kernels against schoolbook arithmetic
+
+
+def school_mul(u: list[int], v: list[int], n: int) -> list[int]:
+    out = [0] * (len(u) + len(v) - 1)
+    for i, ui in enumerate(u):
+        for k, vk in enumerate(v):
+            out[i + k] = (out[i + k] + ui * vk) % n
+    return cm._ptrim(out)
+
+
+def school_mod(u: list[int], f: list[int], n: int) -> list[int]:
+    u = u[:]
+    df = len(f) - 1
+    while len(u) > df:
+        lead = u.pop()
+        for i in range(df):
+            u[len(u) - df + i] = (u[len(u) - df + i] - lead * f[i]) % n
+    return cm._ptrim(u)
+
+
+def school_powmod(base: list[int], e: int, f: list[int], n: int) -> list[int]:
+    result = [1]
+    acc = school_mod(base, f, n)
+    while e:
+        if e & 1:
+            result = school_mod(school_mul(result, acc, n), f, n)
+        e >>= 1
+        if e:
+            acc = school_mod(school_mul(acc, acc, n), f, n)
+    return result
+
+
+M607 = 2**607 - 1  # Mersenne primes
+M89 = 2**89 - 1
+KERNEL_MODULI = [3, 59 * 71, 1000003, 2**127 - 1, M607, M607 * M89]
+KERNEL_DEGREES = [1, 2, 3, 4, 7, 16, 33, 64]
+
+
+def _random_monic(rng: random.Random, d: int, n: int) -> list[int]:
+    return [rng.randrange(n) for _ in range(d)] + [1]
+
+
+def test_packed_product_and_reduction_match_schoolbook():
+    rng = random.Random(31)
+    for n in KERNEL_MODULI:
+        for d in KERNEL_DEGREES:
+            f = _random_monic(rng, d, n)
+            m = cm._Modulus(f, n)
+            residues = [[n - 1] * d, [0] * d] + [
+                [rng.randrange(n) for _ in range(d)] for _ in range(3)
+            ]
+            for u in residues:
+                for v in (u, residues[-1]):
+                    s = cm._pack(u, m.wb) * cm._pack(v, m.wb)
+                    product = [c % n for c in cm._unpack(s, 2 * d - 1, m.wb)]
+                    want = school_mul(u, v, n)
+                    assert cm._ptrim(product) == want, (n, d)
+                    assert cm._ptrim(m.reduce(s)) == school_mod(want, f, n), (n, d)
+
+
+def test_pow_linear_matches_schoolbook():
+    rng = random.Random(32)
+    for n in KERNEL_MODULI:
+        for d in KERNEL_DEGREES:
+            f = _random_monic(rng, d, n)
+            m = cm._Modulus(f, n)
+            exponents = [1, 2, 3, rng.randrange(1, 1 << (40 if d < 16 else 12))]
+            if d <= 4:
+                exponents += [n, (n - 1) // 2]
+            for delta in (0, rng.randrange(n)):
+                for e in exponents:
+                    got = m.pow_linear(delta, e)
+                    assert len(got) == d and all(0 <= c < n for c in got)
+                    want = school_powmod([delta, 1], e, f, n)
+                    assert cm._ptrim(got) == want, (n, d, delta, e)

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from fastecpp import cert, disc, prover
+from fastecpp import cert, cm, disc, prover
 from fastecpp.errors import CompositeDetected, GiveUp
 from fastecpp.numth import is_probable_prime
 
@@ -93,6 +93,18 @@ def test_golden_regression_and_determinism(cache_dir, golden_text, env):
     """Same (input, seed, workers) must reproduce the frozen bytes."""
     config = prover.ProveConfig(workers=1, seed=0, cache_dir=cache_dir)
     c = prover.prove(10**20 + 39, config, env)
+    assert cert.serialize(c) == golden_text
+
+
+def test_truncated_class_poly_cache_keeps_golden(tmp_path, golden_text, env):
+    """A class polynomial cache file cut short must be recomputed, not used."""
+    cm.hilbert_class_poly(-1235, cache_dir=str(tmp_path))  # the golden step's D
+    path = tmp_path / "class_poly_1235.bin"
+    path.write_bytes(path.read_bytes()[:-5])
+    config = prover.ProveConfig(workers=1, seed=0, cache_dir=str(tmp_path))
+    fresh = prover.Environment(config)
+    fresh.table, fresh.products = env.table, env.products
+    c = prover.prove(10**20 + 39, config, fresh)
     assert cert.serialize(c) == golden_text
 
 
