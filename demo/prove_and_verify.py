@@ -12,7 +12,7 @@ from fastecpp.prover import first_probable_prime_after, prove_with_report
 n = first_probable_prime_after(10**30)
 print(f"subject: {n} ({n.bit_length()} bits)")
 
-config = ProveConfig(workers=4, seed=0)
+config = ProveConfig(seed=0)
 t0 = time.time()
 certificate, report = prove_with_report(n, config)
 print(f"proved in {time.time() - t0:.2f}s, {len(certificate.steps)} steps\n")
@@ -26,7 +26,7 @@ print(f"terminal: {certificate.terminal} (below 2^64, deterministic test)\n")
 text = serialize(certificate)
 print(text)
 
-result = verify(certificate, workers=4)
+result = verify(certificate)
 print("verifier says:", "ACCEPT" if result.accepted else f"REJECT ({result.reason})")
 
 # round-trip through the canonical text form

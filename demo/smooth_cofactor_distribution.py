@@ -35,7 +35,7 @@ for n in (1, 4, 8.9, 20):
     print(f"  n = {n:4}: {stats.max_statistics_gain(1 - q, n):.3f}")
 
 print("\nMonte Carlo (L = 128 bits, B = 2^16, 20000 samples):")
-report = stats.sample(128, 1 << 16, 20_000, seed=0, workers=4)
+report = stats.sample(128, 1 << 16, 20_000, seed=0)
 print(report.to_text())
 print("histogram rows (alpha in 0.1 bins):")
 for line in report.histogram_csv().splitlines()[1:12]:

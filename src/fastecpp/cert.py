@@ -3,7 +3,7 @@
 A certificate is a chain of downrun steps plus a terminal value small
 enough for the deterministic base-case test.  Verification trusts
 nothing: every step is re-checked by direct computation with the
-gcd-validated affine curve arithmetic, steps in parallel.
+gcd-validated affine curve arithmetic, one step after another.
 """
 
 import math
@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from .errors import CertificateFormatError, CompositeDetected
 from .numth import DETERMINISTIC_THRESHOLD, is_probable_prime, is_perfect_square
 from .curve import Curve, is_on_curve, scalar_mul_checked
-from .parallel import ordered_map
 
 FORMAT_HEADER = "fastecpp certificate v1"
 _STEP_FIELDS = ("N", "D", "t", "m", "c", "nprime", "a", "b", "px", "py")
@@ -119,8 +118,8 @@ def verify_step(s: CertStep) -> VerifyResult:
     return VerifyResult(True)
 
 
-def verify(cert: Certificate, workers: int = 1) -> VerifyResult:
-    """Verify a whole certificate; steps run in parallel.
+def verify(cert: Certificate) -> VerifyResult:
+    """Verify a whole certificate.
 
     Chain linkage (each step's nprime is the next step's N), the terminal
     base case, and every per-step check must pass.  On failure the lowest
@@ -135,8 +134,8 @@ def verify(cert: Certificate, workers: int = 1) -> VerifyResult:
         return _reject(None, "bad-terminal")
     if not is_probable_prime(cert.terminal):  # deterministic below 2**64
         return _reject(None, "bad-terminal")
-    results = ordered_map(verify_step, cert.steps, workers)
-    for i, res in enumerate(results):
+    for i, s in enumerate(cert.steps):
+        res = verify_step(s)
         if not res:
             return _reject(i, res.reason)
     return VerifyResult(True)
@@ -208,13 +207,13 @@ def parse(text: str) -> Certificate:
     return Certificate(steps, terminal)
 
 
-def verify_file(path: str, workers: int = 1) -> tuple[VerifyResult, Certificate]:
+def verify_file(path: str) -> tuple[VerifyResult, Certificate]:
     with open(path, "r", encoding="ascii") as f:
         cert = parse(f.read())
-    return verify(cert, workers), cert
+    return verify(cert), cert
 
 
-def timed_verify(cert: Certificate, workers: int = 1) -> tuple[VerifyResult, float]:
+def timed_verify(cert: Certificate) -> tuple[VerifyResult, float]:
     t0 = time.perf_counter()
-    res = verify(cert, workers)
+    res = verify(cert)
     return res, time.perf_counter() - t0

@@ -45,7 +45,6 @@ def parse_number(text: str) -> int:
 
 def _config_from_args(args) -> ProveConfig:
     return ProveConfig(
-        workers=args.workers,
         seed=args.seed,
         b_bits=args.b_bits,
         dmax_cap=args.dmax,
@@ -100,7 +99,7 @@ def cmd_prove(args) -> int:
 def cmd_verify(args) -> int:
     t0 = time.perf_counter()
     try:
-        result, certificate = verify_file(args.path, args.workers)
+        result, certificate = verify_file(args.path)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
@@ -110,8 +109,7 @@ def cmd_verify(args) -> int:
     wall = time.perf_counter() - t0
     if result:
         print(f"ACCEPT {certificate.subject}")
-        print(f"steps {len(certificate.steps)} wall_seconds {wall:.3f} "
-              f"workers {args.workers}")
+        print(f"steps {len(certificate.steps)} wall_seconds {wall:.3f}")
         return EXIT_OK
     where = "terminal" if result.step_index is None else f"step {result.step_index}"
     print(f"REJECT {where}: {result.reason}")
@@ -130,7 +128,7 @@ def cmd_stats(args) -> int:
           f"{stats_mod.max_statistics_gain(q, 8.9):.4f}")
     if args.sample:
         report = stats_mod.sample(
-            args.bits, 1 << args.b_bits, args.samples, args.seed, args.workers
+            args.bits, 1 << args.b_bits, args.samples, args.seed
         )
         print()
         sys.stdout.write(report.to_text())
@@ -164,7 +162,7 @@ def cmd_bench(args) -> int:
             print(f"error proving first prime after 10^{nd}: {exc}", file=sys.stderr)
             return EXIT_REJECT
         wall = time.perf_counter() - t0
-        result, _ = timed_verify(certificate, config.workers)
+        result, _ = timed_verify(certificate)
         if not result:
             print(f"error: produced certificate failed verification", file=sys.stderr)
             return EXIT_REJECT
@@ -183,7 +181,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--workers", type=int, default=8)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--b-bits", type=int, default=20, dest="b_bits",
                        help="smoothness bound is 2^B_BITS (default 20)")
@@ -207,7 +204,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="verify a certificate file")
     p_verify.add_argument("path")
-    p_verify.add_argument("--workers", type=int, default=8)
     p_verify.set_defaults(func=cmd_verify)
 
     p_stats = sub.add_parser("stats", help="smooth-cofactor statistics")
@@ -217,7 +213,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_stats.add_argument("--b-bits", type=int, default=20, dest="b_bits")
     p_stats.add_argument("--samples", type=int, default=100_000)
     p_stats.add_argument("--seed", type=int, default=0)
-    p_stats.add_argument("--workers", type=int, default=8)
     p_stats.add_argument("--csv", default=None,
                          help="write the alpha histogram as CSV")
     p_stats.set_defaults(func=cmd_stats)

@@ -1,11 +1,9 @@
 """Elliptic curves over Z/NZ tolerant of composite moduli.
 
-Two arithmetic flavours coexist.  `scalar_mul_checked` works on affine
-points with every inversion validated, so a divergence between the prime
-factors of a composite modulus cannot pass silently; both the prover's
-point search (`find_order_point`) and the certificate verifier use only
-this path.  `scalar_mul` works on Jacobian projective points with no
-per-step inversion; no production code calls it, only the tests.
+All point arithmetic is affine with every inversion validated
+(`scalar_mul_checked`), so a divergence between the prime factors of a
+composite modulus cannot pass silently.  The prover's point search
+(`find_order_point`) and the certificate verifier both use it.
 """
 
 import math
@@ -36,87 +34,6 @@ def validate_curve(e: Curve) -> None:
     if 1 < g < e.n:
         raise CompositeDetected("gcd-factor", factor=g, n=e.n)
     raise ValueError("singular curve")
-
-
-@dataclass(frozen=True)
-class Point:
-    """Jacobian projective point (X : Y : Z); Z = 0 is the identity."""
-
-    x: int
-    y: int
-    z: int
-
-    @staticmethod
-    def identity() -> "Point":
-        return Point(1, 1, 0)
-
-    @staticmethod
-    def from_affine(x: int, y: int) -> "Point":
-        return Point(x, y, 1)
-
-    def is_identity(self) -> bool:
-        return self.z == 0
-
-    def to_affine(self, n: int) -> tuple[int, int] | None:
-        """Normalise; None for the identity, checked inversion otherwise."""
-        if self.z == 0:
-            return None
-        zinv = checked_inverse(self.z, n)
-        z2 = zinv * zinv % n
-        return self.x * z2 % n, self.y * z2 % n * zinv % n
-
-
-def _double(p: Point, e: Curve) -> Point:
-    n = e.n
-    if p.z == 0 or p.y % n == 0:
-        return Point.identity()
-    ysq = p.y * p.y % n
-    s = 4 * p.x * ysq % n
-    z2 = p.z * p.z % n
-    m = (3 * p.x * p.x + e.a * z2 * z2) % n
-    x3 = (m * m - 2 * s) % n
-    y3 = (m * (s - x3) - 8 * ysq * ysq) % n
-    z3 = 2 * p.y * p.z % n
-    return Point(x3, y3, z3)
-
-
-def _add(p: Point, q: Point, e: Curve) -> Point:
-    n = e.n
-    if p.z == 0:
-        return q
-    if q.z == 0:
-        return p
-    z1s, z2s = p.z * p.z % n, q.z * q.z % n
-    u1, u2 = p.x * z2s % n, q.x * z1s % n
-    s1 = p.y * z2s % n * q.z % n
-    s2 = q.y * z1s % n * p.z % n
-    h = (u2 - u1) % n
-    r = (s2 - s1) % n
-    if h == 0:
-        if r == 0:
-            return _double(p, e)
-        return Point.identity()
-    h2 = h * h % n
-    h3 = h2 * h % n
-    u1h2 = u1 * h2 % n
-    x3 = (r * r - h3 - 2 * u1h2) % n
-    y3 = (r * (u1h2 - x3) - s1 * h3) % n
-    z3 = p.z * q.z % n * h % n
-    return Point(x3, y3, z3)
-
-
-def scalar_mul(p: Point, k: int, e: Curve) -> Point:
-    """[k]P on Jacobian coordinates (left-to-right binary ladder)."""
-    if k < 0:
-        raise ValueError("scalar must be non-negative")
-    if k == 0 or p.z == 0:
-        return Point.identity()
-    acc = p
-    for bit in bin(k)[3:]:
-        acc = _double(acc, e)
-        if bit == "1":
-            acc = _add(acc, p, e)
-    return acc
 
 
 # ---------------------------------------------------------------------------

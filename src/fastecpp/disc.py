@@ -1,20 +1,20 @@
 """Discriminant-side machinery for the candidate search.
 
-Class-number tables by reduced-form enumeration, signed primes, and the
-assembly of the per-modulus discriminant pool with square roots composed
+Class-number tables by reduced-form enumeration, signed primes, the
+enumeration of the discriminants buildable from a set of signed primes,
+and the per-modulus pool: those discriminants with square roots composed
 from precomputed signed-prime roots.
 """
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterator
 
 import numpy as np
 
 from .errors import CompositeDetected
 from .numth import jacobi
-from .parallel import ordered_map
 from . import trialdiv
 
 _CLASS_TABLE_MAGIC = b"FECPP-CNT"
@@ -105,14 +105,14 @@ def _fundamental_mask(dmax: int) -> np.ndarray:
     return mask
 
 
-def _count_forms_range(dmax: int, a_lo: int, a_hi: int) -> np.ndarray:
-    """Count reduced forms (a, b, c) with a in [a_lo, a_hi) per |D|.
+def _count_forms(dmax: int) -> np.ndarray:
+    """Count reduced forms (a, b, c) per |D| <= dmax.
 
     Enumerates 0 <= b <= a <= c; b > 0 with b < a and a < c stands for the
     pair (a, +/-b, c), everything else for a single form.
     """
     counts = np.zeros(dmax + 1, dtype=np.int32)
-    for a in range(a_lo, a_hi):
+    for a in range(1, math.isqrt(dmax // 3) + 1):
         fa = 4 * a
         for b in range(0, a + 1):
             start = fa * a - b * b  # c = a
@@ -126,26 +126,15 @@ def _count_forms_range(dmax: int, a_lo: int, a_hi: int) -> np.ndarray:
     return counts
 
 
-def class_number_table(dmax: int, workers: int = 1) -> ClassNumberTable:
+def class_number_table(dmax: int) -> ClassNumberTable:
     """Class numbers of all fundamental discriminants down to -dmax.
 
     Counts reduced primitive forms by direct enumeration (for fundamental
-    D every form is automatically primitive).  The a-range is partitioned
-    across workers; the result does not depend on the partition.
+    D every form is automatically primitive).
     """
     if dmax < 4:
         raise ValueError("dmax must be >= 4")
-    amax = math.isqrt(dmax // 3)
-    if workers <= 1 or amax < 64:
-        counts = _count_forms_range(dmax, 1, amax + 1)
-    else:
-        bounds = np.linspace(1, amax + 1, workers + 1, dtype=int)
-        parts = ordered_map(
-            lambda ab: _count_forms_range(dmax, int(ab[0]), int(ab[1])),
-            list(zip(bounds[:-1], bounds[1:])),
-            workers,
-        )
-        counts = np.sum(parts, axis=0, dtype=np.int64).astype(np.int32)
+    counts = _count_forms(dmax)
     counts[~_fundamental_mask(dmax)] = 0
     return ClassNumberTable(dmax, counts)
 
@@ -221,10 +210,10 @@ def load_class_table(path: str) -> ClassNumberTable:
     return ClassNumberTable(dmax, h)
 
 
-def cached_class_number_table(dmax: int, workers: int = 1, cache_dir: str | None = None) -> ClassNumberTable:
+def cached_class_number_table(dmax: int, cache_dir: str | None = None) -> ClassNumberTable:
     """Build the table, reusing/creating an on-disk cache when possible."""
     if cache_dir is None:
-        return class_number_table(dmax, workers)
+        return class_number_table(dmax)
     path = os.path.join(cache_dir, f"class_numbers_{dmax}.bin")
     if os.path.exists(path):
         try:
@@ -233,7 +222,7 @@ def cached_class_number_table(dmax: int, workers: int = 1, cache_dir: str | None
                 return table
         except (ValueError, OSError):
             pass
-    table = class_number_table(dmax, workers)
+    table = class_number_table(dmax)
     os.makedirs(cache_dir, exist_ok=True)
     save_class_table(table, path)
     return table
@@ -367,28 +356,25 @@ def enumerate_pool_discs(
     return found
 
 
-def build_pool(
-    n: int,
-    roots: dict[int, int],
-    table: ClassNumberTable,
-    dmax: int,
-    hmax: int,
-    pmax: int,
-    maxparts: int = 3,
-) -> list[Disc]:
+def build_pool(n: int, entries: list[Disc], roots: dict[int, int]) -> list[Disc]:
     """Discriminant pool for modulus n with square roots attached.
 
-    `roots` maps qstar -> square root of qstar mod n.  Each emitted entry
-    carries root = product of component roots, so root^2 = D (mod n) by
-    construction.  Ordering is (h, |D|) ascending and deterministic.
+    `entries` is an `enumerate_pool_discs` list, possibly over a wider set
+    of signed primes than `roots`, which maps qstar -> square root of qstar
+    mod n.  The pool keeps, in the order of `entries`, the first entry for
+    each D whose parts all have roots, and attaches root = product of the
+    component roots, so root^2 = D (mod n) by construction.
     """
-    qstars = sorted(roots, key=lambda q: (abs(q), q))
-    pool = enumerate_pool_discs(qstars, table, dmax, hmax, pmax, maxparts)
-    for entry in pool:
+    pool: list[Disc] = []
+    seen: set[int] = set()
+    for entry in entries:
+        if entry.d in seen or any(qs not in roots for qs in entry.parts):
+            continue
+        seen.add(entry.d)
         r = 1
         for qs in entry.parts:
             r = r * roots[qs] % n
-        entry.root = r
         if __debug__:
             assert r * r % n == entry.d % n
+        pool.append(replace(entry, root=r))
     return pool

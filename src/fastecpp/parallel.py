@@ -1,30 +1,11 @@
-"""Thread-pool helpers and deterministic seed derivation.
+"""Deterministic seed derivation.
 
-The coordinator/worker contract at thread scale: one coordinator drives the
-pipeline, workers execute homogeneous batches of pure tasks.  All tasks are
-idempotent, so a batch can be re-dispatched wholesale; results are always
-collected by input order, making outcomes independent of scheduling.
+Every random choice in the prover and the sampler draws from a child
+seed derived from the master seed and a tag naming the choice, so a run
+is reproduced exactly by its master seed.
 """
 
 import hashlib
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Iterable, Sequence, TypeVar
-
-T = TypeVar("T")
-R = TypeVar("R")
-
-
-def ordered_map(fn: Callable[[T], R], items: Sequence[T], workers: int = 1) -> list[R]:
-    """Map `fn` over `items`, preserving order.
-
-    With workers > 1 the calls run on a thread pool; exceptions from any
-    task propagate to the caller.
-    """
-    items = list(items)
-    if workers <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=min(workers, len(items))) as pool:
-        return list(pool.map(fn, items))
 
 
 def derive_seed(master: int, *tags) -> int:
@@ -35,11 +16,3 @@ def derive_seed(master: int, *tags) -> int:
     """
     blob = repr((int(master),) + tuple(tags)).encode()
     return int.from_bytes(hashlib.sha256(blob).digest()[:16], "big")
-
-
-def chunked(seq: Sequence[T], size: int) -> Iterable[Sequence[T]]:
-    """Yield consecutive chunks of `seq` with at most `size` elements."""
-    if size < 1:
-        raise ValueError("chunk size must be >= 1")
-    for i in range(0, len(seq), size):
-        yield seq[i : i + size]

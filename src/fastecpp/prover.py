@@ -2,10 +2,10 @@
 search, curve construction, and the recursive chain down to the
 deterministic base case.
 
-One logical coordinator owns the pipeline state; workers only ever
-execute homogeneous batches of pure tasks (square roots, Cornacchia
-calls, trial-division cells, Miller-Rabin tests), so tasks are idempotent
-and could be re-dispatched after a worker loss.
+The downrun is one sequential pipeline per step: square roots of the
+signed primes, Cornacchia over the pool, batched trial division, then
+Miller-Rabin in ascending N'.  Every random choice is seeded from the
+master seed, so a certificate depends only on (n, config).
 """
 
 import math
@@ -18,13 +18,17 @@ from . import cert as cert_mod
 from . import cm, curve, disc, trialdiv
 from .errors import CompositeDetected, GiveUp
 from .numth import cornacchia, is_probable_prime, sqrt_mod
-from .parallel import chunked, derive_seed, ordered_map
+from .parallel import derive_seed
 from .stats import EULER_GAMMA
 
 
 @dataclass
 class ProveConfig:
-    """Knobs for a proving run; defaults target desk scale."""
+    """Knobs for a proving run; defaults target desk scale.
+
+    `workers` is accepted for compatibility and ignored: the prover is
+    sequential.
+    """
 
     workers: int = 1
     seed: int = 0
@@ -38,14 +42,11 @@ class ProveConfig:
     point_tries: int = 8             # random points per twist
     round_cap: int = 8
     base_threshold: int = 1 << 64
-    batches: int = 16                # trial-division batches
     cache_dir: str | None = None
     verbose: bool = False
     self_verify: bool = True
 
     def validate(self) -> None:
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
         if not (10 <= self.b_bits <= 40):
             raise ValueError("b_bits out of range (10..40)")
         if self.dmax_cap < 16:
@@ -64,7 +65,6 @@ class StepParams:
     dmax: int
     hmax: int
     pmax: int
-    w: int
     b: int
     maxparts: int
     k: int = 0
@@ -103,7 +103,6 @@ class RunReport:
 
     n: int = 0
     bits: int = 0
-    workers: int = 1
     seed: int = 0
     b_bits: int = 20
     wall_seconds: float = 0.0
@@ -122,7 +121,6 @@ class RunReport:
             f"n {self.n}",
             f"bits {self.bits}",
             f"digits {len(str(self.n))}",
-            f"workers {self.workers}",
             f"seed {self.seed}",
             f"b_bits {self.b_bits}",
             f"steps {len(self.steps)}",
@@ -156,11 +154,12 @@ def dmax_formula(bits: int) -> int:
     return 1 << (v - 1).bit_length()
 
 
-def select_params(n: int, w: int, config: ProveConfig | None = None) -> StepParams:
-    """Deterministic step parameters for modulus n and w workers."""
+def select_params(n: int, w: int = 1, config: ProveConfig | None = None) -> StepParams:
+    """Deterministic step parameters for modulus n.
+
+    `w` (a worker count) is accepted for compatibility and ignored.
+    """
     config = config or ProveConfig()
-    if w < 1:
-        raise ValueError("w must be >= 1")
     bits = n.bit_length()
     dmax = min(dmax_formula(bits), config.dmax_cap)
     pmax = config.pmax if config.pmax is not None else max(29, bits >> 10)
@@ -169,7 +168,6 @@ def select_params(n: int, w: int, config: ProveConfig | None = None) -> StepPara
         dmax=dmax,
         hmax=config.hmax,
         pmax=pmax,
-        w=w,
         b=1 << config.b_bits,
         maxparts=config.maxparts,
     )
@@ -192,10 +190,9 @@ def choose_k(
     n: int,
     pool: list[tuple[int, disc.Disc]],
     rnd: int,
-    w: int,
     b: int,
 ) -> tuple[int, bool]:
-    """Minimal roots-per-worker k reaching the expected-survivor target.
+    """Minimal signed-prime budget k reaching the expected-survivor target.
 
     `pool` pairs each candidate discriminant with its rank: the highest
     position among its signed primes in the split-prime ordering.  The
@@ -211,9 +208,9 @@ def choose_k(
     for rank, entry in by_rank:
         acc += 2.0 * prime_rate / math.sqrt(-entry.d)
         if acc >= threshold:
-            return rank // w + 1, False
+            return rank + 1, False
     max_rank = by_rank[-1][0] if by_rank else 0
-    return max_rank // w + 1, True
+    return max_rank + 1, True
 
 
 def exceeds_quartic_floor(nprime: int, n: int) -> bool:
@@ -231,11 +228,10 @@ class Environment:
         self.products: list[trialdiv.PrimeProduct] = []
         self.poly_memo: dict[int, cm.ClassPolynomial] = {}
 
-    def ensure_table(self, dmax: int, workers: int) -> disc.ClassNumberTable:
+    def ensure_table(self, dmax: int, workers: int = 1) -> disc.ClassNumberTable:
+        """The class-number table down to -dmax; `workers` is ignored."""
         if self.table is None or self.table.dmax < dmax:
-            self.table = disc.cached_class_number_table(
-                dmax, workers, self.config.cache_dir
-            )
+            self.table = disc.cached_class_number_table(dmax, self.config.cache_dir)
         return self.table
 
     def ensure_products(self, b: int) -> list[trialdiv.PrimeProduct]:
@@ -303,9 +299,10 @@ def run_step(
     pool discriminant, batched trial division with the quartic-root floor,
     Miller-Rabin by ascending N' keeping the smallest survivor, then the
     class polynomial, a root mod N, and a point of order N'.  Rounds widen
-    the signed-prime budget until the cap, then GiveUp.
+    the signed-prime budget until the cap, then GiveUp.  The pool is
+    enumerated once per universe size and reused by later rounds.
     """
-    table = env.ensure_table(params.dmax, config.workers)
+    table = env.ensure_table(params.dmax)
     products = env.ensure_products(params.b)
     stats = StepStats(index=step_index, n_bits=params.bits)
     report.steps.append(stats)
@@ -315,6 +312,9 @@ def run_step(
     roots: dict[int, int] = {}
     tried: set[int] = set()
     budget_prev = 0
+    entries: list[disc.Disc] = []   # the pool over the whole universe
+    ranked: list[tuple[int, disc.Disc]] = []
+    enumerated = 0                   # universe size `entries` was built for
 
     def ensure_universe(count: int) -> None:
         while len(universe) < min(count, _UNIVERSE_CAP):
@@ -324,36 +324,33 @@ def run_step(
         stats.rounds = rnd
         # --- substep 1: choose k, compute square roots ------------------
         with _timed(report, "roots") as tm:
-            ensure_universe(max(params.w, 16))
+            ensure_universe(16)
             while True:
-                rank_of = {sp.qstar: i for i, sp in enumerate(universe)}
-                entries = disc.enumerate_pool_discs(
-                    [sp.qstar for sp in universe],
-                    table,
-                    params.dmax,
-                    params.hmax,
-                    params.pmax,
-                    params.maxparts,
-                )
-                ranked = [(max(rank_of[q] for q in e.parts), e) for e in entries]
-                k, exhausted = choose_k(n, ranked, rnd, params.w, params.b)
+                if enumerated != len(universe):
+                    enumerated = len(universe)
+                    rank_of = {sp.qstar: i for i, sp in enumerate(universe)}
+                    entries = disc.enumerate_pool_discs(
+                        [sp.qstar for sp in universe],
+                        table,
+                        params.dmax,
+                        params.hmax,
+                        params.pmax,
+                        params.maxparts,
+                    )
+                    ranked = [(max(rank_of[q] for q in e.parts), e) for e in entries]
+                k, exhausted = choose_k(n, ranked, rnd, params.b)
                 if not exhausted or len(universe) >= _UNIVERSE_CAP:
                     break
                 ensure_universe(len(universe) * 2)
             params.k = k
-            budget = max(k * params.w, 2 * budget_prev if rnd > 1 else 0)
-            budget = min(budget, len(universe))
+            budget = min(max(k, 2 * budget_prev), len(universe))
             budget_prev = budget
-            new_qs = [sp for sp in universe[:budget] if sp.qstar not in roots]
-
-            def root_of(sp: disc.SignedPrime) -> tuple[int, int]:
-                r = sqrt_mod(sp.qstar, n)
-                if r is None:
-                    raise CompositeDetected("sqrt-failed-for-residue", n=n)
-                return sp.qstar, r
-
-            for qs, r in ordered_map(root_of, new_qs, config.workers):
-                roots[qs] = r
+            for sp in universe[:budget]:
+                if sp.qstar not in roots:
+                    r = sqrt_mod(sp.qstar, n)
+                    if r is None:
+                        raise CompositeDetected("sqrt-failed-for-residue", n=n)
+                    roots[sp.qstar] = r
             reachable = [e for rank, e in ranked if rank < budget]
             stats.expected = expected_candidates(reachable, params.bits, params.b)
         progress.line(
@@ -363,19 +360,16 @@ def run_step(
 
         # --- substep 2: Cornacchia over all new reachable discriminants --
         with _timed(report, "cornacchia") as tm:
-            root_sub = {sp.qstar: roots[sp.qstar] for sp in universe[:budget]}
-            pool = disc.build_pool(
-                n, root_sub, table, params.dmax, params.hmax, params.pmax,
-                params.maxparts,
-            )
+            # `roots` holds exactly the signed primes of universe[:budget]
+            pool = disc.build_pool(n, entries, roots)
             stats.pool_size = len(pool)
             fresh = [e for e in pool if e.d not in tried]
             tried.update(e.d for e in fresh)
-
-            sols = ordered_map(
-                lambda e: (e, cornacchia(n, e.d, e.root)), fresh, config.workers
-            )
-            hits = [(e, tv) for e, tv in sols if tv is not None]
+            hits = []
+            for e in fresh:
+                tv = cornacchia(n, e.d, e.root)
+                if tv is not None:
+                    hits.append((e, tv))
             stats.pell_hits += len(hits)
         progress.line(
             f"step {step_index} round {rnd} cornacchia: discs={len(fresh)} "
@@ -388,12 +382,7 @@ def run_step(
             for e, (t, v) in hits:
                 for m in {n + 1 - t, n + 1 + t}:
                     skeletons.append((e, t, v, m))
-            splits = trialdiv.batch_factor(
-                [m for (_, _, _, m) in skeletons],
-                products,
-                batches=config.batches,
-                workers=config.workers,
-            )
+            splits = trialdiv.batch_factor([m for (_, _, _, m) in skeletons], products)
             candidates = []
             for (e, t, v, m), sp in zip(skeletons, splits):
                 if sp.c >= 2 and exceeds_quartic_floor(sp.nprime, n):
@@ -407,32 +396,25 @@ def run_step(
 
         # --- substep 4 + phase 2: Miller-Rabin, then curves ---------------
         mr_time = 0.0
-        for batch_no, batch in enumerate(chunked(candidates, params.w)):
+        for idx, cand in enumerate(candidates):
             t0 = time.perf_counter()
-
-            def mr(item: tuple[int, Candidate]) -> bool:
-                idx, cand = item
-                rng = random.Random(derive_seed(step_seed, "mr", rnd, idx))
-                return is_probable_prime(cand.nprime, config.mr_rounds, rng)
-
-            base = batch_no * params.w
-            flags = ordered_map(mr, list(enumerate(batch, base)), config.workers)
-            stats.mr_tested += len(batch)
+            rng = random.Random(derive_seed(step_seed, "mr", rnd, idx))
+            ok = is_probable_prime(cand.nprime, config.mr_rounds, rng)
+            stats.mr_tested += 1
             mr_time += time.perf_counter() - t0
-            for idx, (cand, ok) in enumerate(zip(batch, flags), base):
-                if not ok:
-                    continue
-                step = _phase2(n, cand, step_seed, (rnd, idx), config, env, report, progress, step_index)
-                if step is not None:
-                    report.add_time("mr", mr_time)
-                    stats.d = cand.entry.d
-                    stats.h = cand.entry.h
-                    stats.nprime_bits = cand.nprime.bit_length()
-                    progress.line(
-                        f"step {step_index} round {rnd} mr: tested={stats.mr_tested} "
-                        f"retained={cand.nprime} time={mr_time:.3f}s"
-                    )
-                    return step
+            if not ok:
+                continue
+            step = _phase2(n, cand, step_seed, (rnd, idx), config, env, report, progress, step_index)
+            if step is not None:
+                report.add_time("mr", mr_time)
+                stats.d = cand.entry.d
+                stats.h = cand.entry.h
+                stats.nprime_bits = cand.nprime.bit_length()
+                progress.line(
+                    f"step {step_index} round {rnd} mr: tested={stats.mr_tested} "
+                    f"retained={cand.nprime} time={mr_time:.3f}s"
+                )
+                return step
         report.add_time("mr", mr_time)
         progress.line(
             f"step {step_index} round {rnd} mr: tested={stats.mr_tested} "
@@ -489,8 +471,9 @@ def prove_with_report(
 ) -> tuple[cert_mod.Certificate, RunReport]:
     """Prove n prime; returns the certificate and the run report.
 
-    Raises CompositeDetected when any stage proves n composite and GiveUp
-    when resource limits are hit first.
+    Raises CompositeDetected only for evidence about n itself.  A failure
+    on an intermediate N' says nothing about n, so it raises GiveUp, as
+    do resource limits hit first.
     """
     config = config or ProveConfig()
     config.validate()
@@ -498,8 +481,7 @@ def prove_with_report(
         raise ValueError("n must be an integer >= 2")
     env = env or Environment(config)
     report = RunReport(
-        n=n, bits=n.bit_length(), workers=config.workers, seed=config.seed,
-        b_bits=config.b_bits,
+        n=n, bits=n.bit_length(), seed=config.seed, b_bits=config.b_bits,
     )
     progress = _Progress(config.verbose)
     t_start = time.perf_counter()
@@ -520,22 +502,27 @@ def prove_with_report(
     steps: list[cert_mod.CertStep] = []
     current = n
     level = 0
-    while current >= config.base_threshold:
-        params = select_params(current, config.workers, config)
-        step_seed = derive_seed(config.seed, "step", level)
-        step = run_step(
-            current, params, step_seed, config, env, report, progress, level
-        )
-        steps.append(step)
-        current = step.nprime
-        level += 1
-    if not is_probable_prime(current):  # deterministic below the threshold
-        raise CompositeDetected("mr-witness", n=current)
+    try:
+        while current >= config.base_threshold:
+            params = select_params(current, config=config)
+            step_seed = derive_seed(config.seed, "step", level)
+            step = run_step(
+                current, params, step_seed, config, env, report, progress, level
+            )
+            steps.append(step)
+            current = step.nprime
+            level += 1
+        if not is_probable_prime(current):  # deterministic below the threshold
+            raise CompositeDetected("mr-witness", n=current)
+    except CompositeDetected as exc:
+        if exc.n == n:
+            raise
+        raise GiveUp(f"step {level} failed on an intermediate N': {exc}") from exc
     certificate = cert_mod.Certificate(steps, current)
     report.wall_seconds = time.perf_counter() - t_start
 
     if config.self_verify:
-        res = cert_mod.verify(certificate, config.workers)
+        res = cert_mod.verify(certificate)
         if not res:
             raise RuntimeError(
                 f"internal error: generated certificate failed verification "

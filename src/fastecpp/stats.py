@@ -15,27 +15,13 @@ import numpy as np
 
 from . import trialdiv
 from .numth import is_probable_prime
-from .parallel import derive_seed, ordered_map
+from .parallel import derive_seed
 
 # Euler-Mascheroni constant to 50 decimal digits.
 EULER_GAMMA_STR = "0.57721566490153286060651209008240243104215933593992"
 EULER_GAMMA = float(EULER_GAMMA_STR)
 
 _E_GAMMA = math.exp(EULER_GAMMA)
-
-
-@dataclass(frozen=True)
-class SmoothDensity:
-    """The piecewise density bundled with its smoothness bound."""
-
-    b: int
-    gamma: float = EULER_GAMMA
-
-    def density(self, alpha: float) -> float:
-        return density(alpha)
-
-    def bucket_probabilities(self) -> tuple[float, float, float, float]:
-        return bucket_probabilities()
 
 
 def density(alpha: float) -> float:
@@ -166,8 +152,9 @@ def sample(
 
     The draw is over all L-bit integers (the model the analytic constants
     describe); restricting to odd samples would push the small-exponent
-    bucket up by a visible finite-size bias.  Seeding is per fixed-size
-    chunk, so results do not depend on the worker count.
+    bucket up by a visible finite-size bias.  Draws are seeded per
+    fixed-size chunk and each Miller-Rabin test per sample index.
+    `workers` is accepted for compatibility and ignored.
     """
     if b < 1 << 10:
         raise ValueError("b must be at least 2**10")
@@ -185,21 +172,15 @@ def sample(
         for _ in range(count):
             ms.append(rng.getrandbits(bits - 1) | (1 << (bits - 1)))
 
-    splits = trialdiv.batch_factor(ms, products, workers=workers)
-
-    def condition(chunk_idx: int) -> list[float]:
-        alphas = []
-        lo = chunk_idx * _CHUNK
-        for i, sp in enumerate(splits[lo : lo + _CHUNK], lo):
-            if sp.nprime < 2:
-                continue
-            rng = random.Random(derive_seed(seed, "mr", i))
-            if is_probable_prime(sp.nprime, 16, rng):
-                alphas.append(math.log(sp.c) / math.log(b) if sp.c > 1 else 0.0)
-        return alphas
-
-    alpha_chunks = ordered_map(condition, list(range(n_chunks)), workers)
-    alphas = np.array([a for chunk in alpha_chunks for a in chunk])
+    splits = trialdiv.batch_factor(ms, products)
+    kept_alphas = []
+    for i, sp in enumerate(splits):
+        if sp.nprime < 2:
+            continue
+        rng = random.Random(derive_seed(seed, "mr", i))
+        if is_probable_prime(sp.nprime, 16, rng):
+            kept_alphas.append(math.log(sp.c) / math.log(b) if sp.c > 1 else 0.0)
+    alphas = np.array(kept_alphas)
 
     kept = len(alphas)
     p1 = float(np.count_nonzero(alphas <= 1.0)) / kept if kept else 0.0

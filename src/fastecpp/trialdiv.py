@@ -12,8 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .parallel import ordered_map
-
 _PRODUCT_MAGIC = b"FECPP-PP"
 _PRODUCT_VERSION = 1
 
@@ -185,29 +183,25 @@ def _descend(x: int, ms: list[int], out: list[int], base: int, meter) -> None:
     _descend(xr, right, out, base + mid, meter)
 
 
-def remainder_tree(
-    p: int,
-    ms: list[int],
-    workers: int = 1,
-    meter: MemoryMeter | None = None,
-) -> list[int]:
+def remainder_tree(p: int, ms: list[int], meter: MemoryMeter | None = None) -> list[int]:
     """P mod m_i for every i, by batched product/remainder trees.
 
-    The leaves are cut into batches whose product M stays at or below P
-    (one leaf minimum), so each batch tree is no larger than P itself.
-    Batch boundaries and worker count do not change the result.
+    The leaves are cut into consecutive batches whose product M stays at
+    or below bitlen(P)/16 bits (one leaf minimum), so each batch tree is
+    small next to P and the top reduction P mod M is one division per
+    batch.  Batch boundaries do not change the result.
     """
     if any(m < 2 for m in ms):
         raise ValueError("all moduli must be >= 2")
     if not ms:
         return []
     meter_ = meter if meter is not None else _NULL_METER
-    p_bits = max(p.bit_length(), 1)
+    cap = p.bit_length() // 16
     batches: list[tuple[int, list[int]]] = []
     start, acc = 0, 0
     for i, m in enumerate(ms):
         b = m.bit_length()
-        if i > start and acc + b > p_bits:
+        if i > start and acc + b > cap:
             batches.append((start, ms[start:i]))
             start, acc = i, b
         else:
@@ -215,15 +209,11 @@ def remainder_tree(
     batches.append((start, ms[start:]))
 
     out = [0] * len(ms)
-
-    def run(batch: tuple[int, list[int]]) -> None:
-        base, leaves = batch
+    for base, leaves in batches:
         m_batch = meter_.alloc(_balanced_product(leaves))
         x0 = meter_.alloc(p % m_batch)
         meter_.free(m_batch)
         _descend(x0, leaves, out, base, meter_)
-
-    ordered_map(run, batches, workers)
     return out
 
 
@@ -260,18 +250,11 @@ def smooth_split(m: int, p_mod_m: int, p: int) -> SmoothSplit:
     return SmoothSplit(m, c, nprime)
 
 
-def batch_factor(
-    ms: list[int],
-    products: list[PrimeProduct],
-    batches: int = 16,
-    workers: int = 1,
-) -> list[SmoothSplit]:
+def batch_factor(ms: list[int], products: list[PrimeProduct]) -> list[SmoothSplit]:
     """Smooth-split every m against the union of the prime products.
 
-    Work is partitioned two-dimensionally over (batch of ms) x (prime
-    range); per-range smooth parts combine multiplicatively, matching a
-    single split against the full product.  `batches` is reduced when
-    there are fewer inputs than batches.
+    One remainder tree per prime product; per-range smooth parts combine
+    multiplicatively, matching a single split against the full product.
     """
     if not ms:
         return []
@@ -282,30 +265,14 @@ def batch_factor(
     for (_, hi_prev), (lo_next, _) in zip(spans, spans[1:]):
         if lo_next != hi_prev:
             raise ValueError("prime ranges must be contiguous")
-    nb = max(1, min(batches, len(ms)))
-    size = (len(ms) + nb - 1) // nb
-    cells = []
-    for bi in range(0, len(ms), size):
-        for pp in products:
-            cells.append((bi, pp))
-
-    def run(cell: tuple[int, PrimeProduct]) -> tuple[int, int, list[int]]:
-        bi, pp = cell
-        chunk = ms[bi : bi + size]
-        return bi, pp.b_lo, remainder_tree(pp.value, chunk)
-
-    results = ordered_map(run, cells, workers)
-    rems: dict[tuple[int, int], list[int]] = {(bi, blo): r for bi, blo, r in results}
-
+    rems = [remainder_tree(pp.value, ms) for pp in products]
     out: list[SmoothSplit] = []
     for i, m in enumerate(ms):
-        bi = (i // size) * size
         c_total, mm = 1, m
-        for pp in products:
+        for r in rems:
             if mm == 1:
                 break
-            r = rems[(bi, pp.b_lo)][i - bi]
-            c, mm = _extract_ladder(mm, r % mm)
+            c, mm = _extract_ladder(mm, r[i] % mm)
             c_total *= c
         out.append(SmoothSplit(m, c_total, mm))
     return out

@@ -1,8 +1,12 @@
+import glob
 import os
+import random
+import shutil
 
 import pytest
 
-from fastecpp import disc, prover, trialdiv
+from fastecpp import cert, cm, disc, prover, trialdiv
+from fastecpp.errors import CompositeDetected
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 GOLDEN_CERT_PATH = os.path.join(DATA_DIR, "cert_10pow20.txt")
@@ -28,7 +32,7 @@ def env(cache_dir):
     """Shared tables for proving runs (class numbers, prime products)."""
     config = prover.ProveConfig(cache_dir=cache_dir)
     environment = prover.Environment(config)
-    environment.ensure_table(1 << 20, workers=4)
+    environment.ensure_table(1 << 20)
     environment.ensure_products(1 << 20)
     return environment
 
@@ -37,3 +41,32 @@ def env(cache_dir):
 def golden_text():
     with open(GOLDEN_CERT_PATH, "r", encoding="ascii") as f:
         return f.read()
+
+
+@pytest.fixture(scope="session")
+def bad_poly_cache(tmp_path_factory, env):
+    """A cache directory whose class polynomial for D = -6532 is wrong.
+
+    D = -6532 is the discriminant of level 1 of the pinned 10^100 chain.
+    The file holds a seeded random monic degree-16 polynomial with no root
+    modulo that level's N; the class-number table and the prime product
+    are copied from the shared cache.  Returns (directory, level-1 N).
+    """
+    with open(os.path.join(DATA_DIR, "cert_10pow100.txt"), encoding="ascii") as f:
+        level1 = cert.parse(f.read()).steps[1]
+    assert level1.d == -6532
+    rng = random.Random(0)
+    while True:
+        poly = cm.ClassPolynomial(-6532, [rng.randrange(level1.n) for _ in range(16)] + [1])
+        try:
+            cm.root_mod(poly, level1.n, random.Random(0))
+        except CompositeDetected as exc:
+            assert exc.reason == "class-poly-has-no-root"
+            break
+    path = str(tmp_path_factory.mktemp("bad-poly-cache"))
+    for name in glob.glob(os.path.join(env.config.cache_dir, "class_numbers_*.bin")) + glob.glob(
+        os.path.join(env.config.cache_dir, "prime_product_*.bin")
+    ):
+        shutil.copy(name, path)
+    cm._save_poly(poly, path)
+    return path, level1.n

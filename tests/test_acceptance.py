@@ -15,7 +15,7 @@ import pytest
 
 import fastecpp
 from fastecpp import cert, cm, curve, disc, prover, stats, trialdiv
-from fastecpp.curve import Curve, Point
+from fastecpp.curve import Curve
 from fastecpp.errors import CompositeDetected, GiveUp
 from fastecpp.numth import cornacchia, is_probable_prime, jacobi, sqrt_mod
 
@@ -29,24 +29,24 @@ def _pass(num: int, text: str) -> None:
 
 
 @pytest.fixture(scope="module")
-def config8(cache_dir):
-    return prover.ProveConfig(workers=8, seed=0, b_bits=20, cache_dir=cache_dir)
+def config(cache_dir):
+    return prover.ProveConfig(seed=0, b_bits=20, cache_dir=cache_dir)
 
 
 @pytest.fixture(scope="module")
-def run50(config8, env):
+def run50(config, env):
     n = prover.first_probable_prime_after(10**50)
     t0 = time.perf_counter()
-    certificate, report = prover.prove_with_report(n, config8, env)
+    certificate, report = prover.prove_with_report(n, config, env)
     gen_seconds = time.perf_counter() - t0
     return n, certificate, report, gen_seconds
 
 
 @pytest.fixture(scope="module")
-def run100(config8, env):
+def run100(config, env):
     n = prover.first_probable_prime_after(10**100)
     t0 = time.perf_counter()
-    certificate, report = prover.prove_with_report(n, config8, env)
+    certificate, report = prover.prove_with_report(n, config, env)
     gen_seconds = time.perf_counter() - t0
     return n, certificate, report, gen_seconds
 
@@ -56,7 +56,7 @@ def _fresh_process_verify(path: str) -> int:
     env_vars = dict(os.environ)
     env_vars["PYTHONPATH"] = src + os.pathsep + env_vars.get("PYTHONPATH", "")
     proc = subprocess.run(
-        [sys.executable, "-m", "fastecpp.cli", "verify", path, "--workers", "4"],
+        [sys.executable, "-m", "fastecpp.cli", "verify", path],
         capture_output=True,
         env=env_vars,
     )
@@ -73,7 +73,7 @@ def test_criterion_01_end_to_end(run50, run100, tmp_path):
     ):
         assert certificate.subject == n
         assert gen_seconds < 600, f"{label} took {gen_seconds:.0f}s"
-        res = cert.verify(certificate, workers=8)
+        res = cert.verify(certificate)
         assert res.accepted, (label, res)
         path = str(tmp_path / f"cert_{label.replace('^', '')}.txt")
         with open(path, "w", encoding="ascii") as f:
@@ -81,7 +81,7 @@ def test_criterion_01_end_to_end(run50, run100, tmp_path):
         assert _fresh_process_verify(path) == 0, label
     # verification is far cheaper than generation (well under 5%)
     n, certificate, report, gen_seconds = run50
-    res, verify_seconds = cert.timed_verify(certificate, workers=1)
+    res, verify_seconds = cert.timed_verify(certificate)
     assert res.accepted
     assert verify_seconds < 0.05 * gen_seconds
     _pass(1, f"10^50 ({len(run50[1].steps)} steps, {run50[3]:.1f}s) and "
@@ -122,7 +122,7 @@ def _chernick_carmichael_above_2_64() -> int:
         k += 1
 
 
-def test_criterion_02_soundness_corpus(config8, env):
+def test_criterion_02_soundness_corpus(config, env):
     corpus = list(CARMICHAELS)
     for m in CARMICHAELS:
         assert _trial_factor(m), m  # composite by direct factorisation
@@ -148,7 +148,7 @@ def test_criterion_02_soundness_corpus(config8, env):
     accepted = []
     for n in corpus:
         try:
-            prover.prove(n, config8, env)
+            prover.prove(n, config, env)
             accepted.append(n)
         except (CompositeDetected, GiveUp):
             pass
@@ -183,8 +183,7 @@ def test_criterion_04_empirical_sample(env):
     deltas = []
     report = None
     for n in (1000, 10_000, 100_000):
-        report = stats.sample(256, 1 << 20, n, seed=0, workers=8,
-                              env_products=products)
+        report = stats.sample(256, 1 << 20, n, seed=0, env_products=products)
         deltas.append(abs(report.bucket_probs[0] - p1_analytic))
     elapsed = time.perf_counter() - t0
     assert elapsed < 600, f"sampling took {elapsed:.0f}s"
@@ -275,7 +274,7 @@ def test_criterion_06b_batch_factor_vs_naive():
         primes = [int(p) for p in trialdiv.primes_up_to(bound)]
         products = [trialdiv.prime_product(1, bound)]
         ms = [rng.getrandbits(256) | (1 << 255) for _ in range(1000)]
-        splits = trialdiv.batch_factor(ms, products, workers=8)
+        splits = trialdiv.batch_factor(ms, products)
         for m, s in zip(ms, splits):
             c, rest = 1, m
             for p in primes:
@@ -340,7 +339,7 @@ def test_criterion_06d_scalar_mul_vs_enumeration():
         # iterative chord-tangent oracle walk
         acc = None
         for k in range(order + 1):
-            got = curve.scalar_mul(Point.from_affine(*pt), k, e).to_affine(p)
+            got = curve.scalar_mul_checked(pt, k, e)
             assert got == acc, (p, k)
             checked += 1
             if acc is None:
@@ -358,7 +357,7 @@ def test_criterion_06d_scalar_mul_vs_enumeration():
                     x3 = (lam * lam - x1 - x2) % p
                     acc = (x3, (lam * (x1 - x3) - y1) % p)
     assert checked > 50_000
-    _pass(6, f"(d) scalar_mul == group walk for {checked} multiples over "
+    _pass(6, f"(d) scalar_mul_checked == group walk for {checked} multiples over "
              f"all primes 5..997, zero mismatches")
 
 
@@ -430,19 +429,19 @@ def test_criterion_08_tamper_fuzz(run50, golden_text):
 # 9. chain statistics over twenty ~50-digit proofs
 
 
-def test_criterion_09_chain_statistics(config8, env):
+def test_criterion_09_chain_statistics(config, env):
     total_gain, total_steps = 0, 0
     for k in range(1, 21):
         n = prover.first_probable_prime_after(k * 10**49)
-        certificate, report = prover.prove_with_report(n, config8, env)
+        certificate, report = prover.prove_with_report(n, config, env)
         assert cert.verify(certificate).accepted
         gains = report.bit_gains()
         total_gain += sum(gains)
         total_steps += len(gains)
     mean = total_gain / total_steps
-    assert mean >= config8.b_bits  # log2(B)
+    assert mean >= config.b_bits  # log2(B)
     _pass(9, f"mean bit gain per step {mean:.1f} = "
-             f"{mean / config8.b_bits:.2f} * log2(B) over {total_steps} steps "
+             f"{mean / config.b_bits:.2f} * log2(B) over {total_steps} steps "
              f"(paper reference at record pools: above 2.3)")
 
 
@@ -450,9 +449,9 @@ def test_criterion_09_chain_statistics(config8, env):
 # 10. determinism
 
 
-def test_criterion_10_determinism(run50, run100, config8, env):
+def test_criterion_10_determinism(run50, run100, config, env):
     n, certificate, _, _ = run50
-    again, _ = prover.prove_with_report(n, config8, env)
+    again, _ = prover.prove_with_report(n, config, env)
     assert cert.serialize(again) == cert.serialize(certificate)
     # the 10^50 and 10^100 chains are pinned byte for byte
     data_dir = os.path.join(os.path.dirname(__file__), "data")
@@ -460,8 +459,6 @@ def test_criterion_10_determinism(run50, run100, config8, env):
         with open(os.path.join(data_dir, name), "r", encoding="ascii") as f:
             assert cert.serialize(c) == f.read(), name
     for c in (certificate, run100[1]):
-        results = [cert.verify(c, workers=w).accepted for w in (1, 3, 8)]
-        assert results == [True, True, True]
-    _pass(10, "identical (input, seed, workers) reproduce byte-identical "
-              "certificates, equal to the pinned 10^50 and 10^100 chains; "
-              "verification independent of worker count")
+        assert cert.verify(c).accepted
+    _pass(10, "identical (input, seed) reproduce byte-identical "
+              "certificates, equal to the pinned 10^50 and 10^100 chains")

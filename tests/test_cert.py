@@ -77,14 +77,6 @@ def test_verify_reports_lowest_failing_step(golden_text):
     assert res.step_index == 0 and res.reason == "off-curve"
 
 
-def test_verify_worker_invariance(golden_text):
-    c = cert.parse(golden_text)
-    assert cert.verify(c, workers=1).accepted == cert.verify(c, workers=4).accepted
-    c.terminal += 2
-    r1, r4 = cert.verify(c, workers=1), cert.verify(c, workers=4)
-    assert (r1.accepted, r1.reason) == (r4.accepted, r4.reason)
-
-
 # ---------------------------------------------------------------------------
 # parser strictness
 

@@ -21,9 +21,17 @@ def test_parse_number_forms():
 
 
 def test_prove_composite_exits_1(capsys):
-    assert run_cli(["prove", "91", "--quiet", "--workers", "1"]) == 1
+    assert run_cli(["prove", "91", "--quiet"]) == 1
     err = capsys.readouterr().err
     assert "composite" in err
+
+
+def test_prove_intermediate_failure_exits_3(bad_poly_cache, capsys):
+    path, _ = bad_poly_cache
+    rc = run_cli(["prove", "first-prime-after:10^100", "--quiet", "--cache-dir", path])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert "give-up:" in err and "composite:" not in err
 
 
 def test_prove_bad_expression_exits_2():
@@ -34,7 +42,7 @@ def test_prove_verify_cycle(tmp_path, cache_dir, capsys):
     cert_path = str(tmp_path / "c.txt")
     report_path = str(tmp_path / "r.txt")
     rc = run_cli([
-        "prove", "10^20+39", "--quiet", "--workers", "2", "--seed", "0",
+        "prove", "10^20+39", "--quiet", "--seed", "0",
         "--cache-dir", cache_dir, "--cert", cert_path, "--report", report_path,
     ])
     assert rc == 0
@@ -42,7 +50,7 @@ def test_prove_verify_cycle(tmp_path, cache_dir, capsys):
     with open(report_path) as f:
         assert f.read().startswith("fastecpp run report v1")
 
-    assert run_cli(["verify", cert_path, "--workers", "2"]) == 0
+    assert run_cli(["verify", cert_path]) == 0
     out = capsys.readouterr().out
     assert "ACCEPT 100000000000000000039" in out
 
@@ -74,7 +82,7 @@ def test_stats_command(capsys, tmp_path):
     csv_path = str(tmp_path / "hist.csv")
     rc = run_cli([
         "stats", "--sample", "--bits", "64", "--b-bits", "10",
-        "--samples", "1500", "--seed", "3", "--workers", "2", "--csv", csv_path,
+        "--samples", "1500", "--seed", "3", "--csv", csv_path,
     ])
     assert rc == 0
     out = capsys.readouterr().out
@@ -91,7 +99,7 @@ def test_bench_empty_prints_header_only(capsys):
 
 def test_bench_single_row(capsys, cache_dir):
     rc = run_cli([
-        "bench", "21", "--quiet", "--workers", "2", "--seed", "0",
+        "bench", "21", "--quiet", "--seed", "0",
         "--cache-dir", cache_dir,
     ])
     assert rc == 0

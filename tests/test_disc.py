@@ -72,12 +72,6 @@ def test_table_only_stores_fundamental(table2000):
             assert table2000.is_fundamental(d) == fundamental_oracle(d), d
 
 
-def test_table_independent_of_workers():
-    t1 = disc.class_number_table(5000, workers=1)
-    t3 = disc.class_number_table(5000, workers=3)
-    assert np.array_equal(t1._h, t3._h)
-
-
 def test_table_rejects_tiny_dmax():
     with pytest.raises(ValueError):
         disc.class_number_table(3)
@@ -155,9 +149,14 @@ def _roots_for(n: int, qstars: list[int]) -> dict[int, int]:
     return roots
 
 
+def _pool(n, qstars, table, dmax, hmax, pmax, maxparts):
+    entries = disc.enumerate_pool_discs(qstars, table, dmax, hmax, pmax, maxparts)
+    return disc.build_pool(n, entries, _roots_for(n, qstars))
+
+
 def test_build_pool_single_element(table2000):
     n = 13
-    pool = disc.build_pool(n, _roots_for(n, [-3]), table2000, 2000, 64, 29, 1)
+    pool = _pool(n, [-3], table2000, 2000, 64, 29, 1)
     assert [e.d for e in pool] == [-3]
     assert pool[0].root is not None
 
@@ -165,7 +164,7 @@ def test_build_pool_single_element(table2000):
 def test_build_pool_products(table2000):
     n = 109    # -3 and 5 are both residues mod 109
     assert jacobi(-3, n) == 1 and jacobi(5, n) == 1
-    pool = disc.build_pool(n, _roots_for(n, [-3, 5]), table2000, 2000, 64, 29, 2)
+    pool = _pool(n, [-3, 5], table2000, 2000, 64, 29, 2)
     ds = [e.d for e in pool]
     assert -3 in ds and -15 in ds
     assert 5 not in ds and -5 not in ds  # 5 alone is not a discriminant
@@ -176,10 +175,9 @@ def test_build_pool_products(table2000):
 def test_build_pool_pmax_excludes(table2000):
     n = 59  # jacobi(-23, 59) = 1
     assert jacobi(-23, n) == 1
-    roots = _roots_for(n, [-23])
-    pool = disc.build_pool(n, roots, table2000, 2000, 64, 2, 1)
+    pool = _pool(n, [-23], table2000, 2000, 64, 2, 1)
     assert [e.d for e in pool] == []  # h(-23) = 3 and 3 > pmax = 2
-    pool = disc.build_pool(n, roots, table2000, 2000, 64, 3, 1)
+    pool = _pool(n, [-23], table2000, 2000, 64, 3, 1)
     assert [e.d for e in pool] == [-23]
 
 
@@ -187,7 +185,7 @@ def test_build_pool_respects_bounds_and_order(env):
     n = 10**20 + 39
     table = env.table
     qstars = [sp.qstar for sp in disc.signed_primes(n, 12)]
-    pool = disc.build_pool(n, _roots_for(n, qstars), table, 10_000, 16, 29, 3)
+    pool = _pool(n, qstars, table, 10_000, 16, 29, 3)
     assert pool, "pool should not be empty with 12 signed primes"
     keys = [(e.h, -e.d) for e in pool]
     assert keys == sorted(keys)
@@ -206,12 +204,33 @@ def test_build_pool_respects_bounds_and_order(env):
 def test_build_pool_deterministic(table2000):
     n = 10**9 + 7
     qstars = [sp.qstar for sp in disc.signed_primes(n, 8)]
-    roots = _roots_for(n, qstars)
-    p1 = disc.build_pool(n, roots, table2000, 2000, 64, 29, 3)
-    p2 = disc.build_pool(n, roots, table2000, 2000, 64, 29, 3)
+    p1 = _pool(n, qstars, table2000, 2000, 64, 29, 3)
+    p2 = _pool(n, qstars, table2000, 2000, 64, 29, 3)
     assert [(e.d, e.h, e.parts, e.root) for e in p1] == [
         (e.d, e.h, e.parts, e.root) for e in p2
     ]
+
+
+def test_build_pool_from_wider_enumeration(env):
+    """A pool cut from an enumeration over a wider signed-prime list (with
+    the stream's repeats) equals the pool enumerated from the roots' own
+    signed primes, in order and in (d, h, hfac, root)."""
+    n = 10**20 + 39
+    table = env.table
+    stream = disc.signed_prime_stream(n)
+    universe = [next(stream).qstar for _ in range(128)]
+    assert len(set(universe)) < len(universe)  # the stream repeats primes
+    entries = disc.enumerate_pool_discs(universe, table, 1 << 20, 64, 29, 3)
+    for budget in (1, 5, 16, 40, 90, 128):
+        own = sorted(set(universe[:budget]), key=lambda q: (abs(q), q))
+        roots = _roots_for(n, own)
+        expect = disc.build_pool(
+            n, disc.enumerate_pool_discs(own, table, 1 << 20, 64, 29, 3), roots
+        )
+        got = disc.build_pool(n, entries, roots)
+        assert [(e.d, e.h, e.hfac, e.root) for e in got] == [
+            (e.d, e.h, e.hfac, e.root) for e in expect
+        ], budget
 
 
 def test_pool_discs_jacobi_positive(table2000):
@@ -225,6 +244,6 @@ def test_pool_discs_jacobi_positive(table2000):
             continue
         done += 1
         qstars = [sp.qstar for sp in disc.signed_primes(n, 6)]
-        pool = disc.build_pool(n, _roots_for(n, qstars), table2000, 2000, 64, 29, 3)
+        pool = _pool(n, qstars, table2000, 2000, 64, 29, 3)
         for e in pool:
             assert jacobi(e.d, n) == 1

@@ -1,3 +1,4 @@
+import os
 import random
 
 import pytest
@@ -21,14 +22,14 @@ def test_dmax_formula_spec_values():
 
 def test_select_params():
     config = prover.ProveConfig(dmax_cap=1 << 20, hmax=64)
-    p = prover.select_params((1 << 512) + 9, 8, config)
+    p = prover.select_params((1 << 512) + 9, config=config)
     assert p.dmax == 1 << 20
     assert p.pmax == 29
-    assert p.w == 8 and p.b == 1 << 20
-    p = prover.select_params((1 << (1 << 15)) + 9, 4, config)
+    assert p.b == 1 << 20
+    # the worker count is accepted and ignored
+    assert prover.select_params((1 << 512) + 9, 8, config) == p
+    p = prover.select_params((1 << (1 << 15)) + 9, config=config)
     assert p.pmax == max(29, (1 << 15) // 1024) == 32
-    with pytest.raises(ValueError):
-        prover.select_params(101, 0, config)
 
 
 def test_expected_candidates_single_disc():
@@ -42,19 +43,19 @@ def test_choose_k_thresholds():
     n = (1 << 1000) + 9
     entry = disc.Disc(-3, 1, (), (-3,))
     # a single reachable discriminant can never reach the target
-    k, exhausted = prover.choose_k(n, [(0, entry)], 1, 4, 1 << 20)
+    k, exhausted = prover.choose_k(n, [(0, entry)], 1, 1 << 20)
     assert exhausted and k == 1
     # large pool: round 1 needs about 3x more mass than later rounds
     pool = [(i, disc.Disc(-3 - 4 * i, 1, (), ())) for i in range(4000)]
     pool = [(i, e) for i, e in pool]
-    k1, ex1 = prover.choose_k(n, pool, 1, 4, 1 << 20)
-    k2, ex2 = prover.choose_k(n, pool, 2, 4, 1 << 20)
+    k1, ex1 = prover.choose_k(n, pool, 1, 1 << 20)
+    k2, ex2 = prover.choose_k(n, pool, 2, 1 << 20)
     assert not ex1 and not ex2
     assert k1 > k2 >= 1
 
 
 def test_choose_k_empty_pool():
-    k, exhausted = prover.choose_k((1 << 100) + 3, [], 1, 8, 1 << 20)
+    k, exhausted = prover.choose_k((1 << 100) + 3, [], 1, 1 << 20)
     assert exhausted and k == 1
 
 
@@ -90,8 +91,8 @@ def test_prove_rejects_large_semiprime(env):
 
 
 def test_golden_regression_and_determinism(cache_dir, golden_text, env):
-    """Same (input, seed, workers) must reproduce the frozen bytes."""
-    config = prover.ProveConfig(workers=1, seed=0, cache_dir=cache_dir)
+    """Same (input, seed) must reproduce the frozen bytes."""
+    config = prover.ProveConfig(seed=0, cache_dir=cache_dir)
     c = prover.prove(10**20 + 39, config, env)
     assert cert.serialize(c) == golden_text
 
@@ -101,17 +102,41 @@ def test_truncated_class_poly_cache_keeps_golden(tmp_path, golden_text, env):
     cm.hilbert_class_poly(-1235, cache_dir=str(tmp_path))  # the golden step's D
     path = tmp_path / "class_poly_1235.bin"
     path.write_bytes(path.read_bytes()[:-5])
-    config = prover.ProveConfig(workers=1, seed=0, cache_dir=str(tmp_path))
+    config = prover.ProveConfig(seed=0, cache_dir=str(tmp_path))
     fresh = prover.Environment(config)
     fresh.table, fresh.products = env.table, env.products
     c = prover.prove(10**20 + 39, config, fresh)
     assert cert.serialize(c) == golden_text
 
 
+def test_certificates_independent_of_workers(cache_dir, golden_text, env):
+    """`workers` is ignored: 1, 2 and 8 give the pinned certificates."""
+    with open(os.path.join(os.path.dirname(__file__), "data", "cert_10pow50.txt"),
+              encoding="ascii") as f:
+        pinned50 = f.read()
+    n50 = prover.first_probable_prime_after(10**50)
+    for w in (1, 2, 8):
+        config = prover.ProveConfig(workers=w, seed=0, cache_dir=cache_dir)
+        assert cert.serialize(prover.prove(10**20 + 39, config, env)) == golden_text, w
+        assert cert.serialize(prover.prove(n50, config, env)) == pinned50, w
+
+
+def test_intermediate_failure_gives_up(bad_poly_cache, env):
+    """A wrong cached class polynomial at level 1 is no verdict on the subject."""
+    path, level1_n = bad_poly_cache
+    config = prover.ProveConfig(seed=0, cache_dir=path)
+    fresh = prover.Environment(config)
+    fresh.table, fresh.products = env.table, env.products
+    with pytest.raises(GiveUp) as exc:
+        prover.prove(10**100 + 267, config, fresh)
+    assert isinstance(exc.value.__cause__, CompositeDetected)
+    assert exc.value.__cause__.n == level1_n
+
+
 def test_prove_seed_sensitivity_still_verifies(cache_dir, env):
-    config = prover.ProveConfig(workers=2, seed=12345, cache_dir=cache_dir)
+    config = prover.ProveConfig(seed=12345, cache_dir=cache_dir)
     c, report = prover.prove_with_report(10**20 + 39, config, env)
-    assert cert.verify(c, 2).accepted
+    assert cert.verify(c).accepted
     assert c.subject == 10**20 + 39
     assert report.steps and report.wall_seconds > 0
     gains = report.bit_gains()
@@ -123,7 +148,7 @@ def test_prove_seed_sensitivity_still_verifies(cache_dir, env):
 
 
 def test_report_text_shape(cache_dir, env):
-    config = prover.ProveConfig(workers=1, seed=7, cache_dir=cache_dir)
+    config = prover.ProveConfig(seed=7, cache_dir=cache_dir)
     _, report = prover.prove_with_report(10**20 + 39, config, env)
     text = report.to_text()
     assert text.startswith("fastecpp run report v1\n")
@@ -139,7 +164,7 @@ def test_give_up_on_starved_config(env):
     from fastecpp.numth import jacobi
 
     config = prover.ProveConfig(
-        workers=1, seed=0, dmax_cap=16, hmax=1, maxparts=1, round_cap=2,
+        seed=0, dmax_cap=16, hmax=1, maxparts=1, round_cap=2,
         cache_dir=env.config.cache_dir,
     )
     n = prover.first_probable_prime_after(1 << 70)
@@ -160,7 +185,7 @@ def test_first_probable_prime_after():
 
 def test_mean_gain_tracks_log2b(cache_dir, env):
     """Single-proof smoke version of the 20-proof acceptance statistic."""
-    config = prover.ProveConfig(workers=2, seed=0, cache_dir=cache_dir)
+    config = prover.ProveConfig(seed=0, cache_dir=cache_dir)
     n = prover.first_probable_prime_after(10**30)
     c, report = prover.prove_with_report(n, config, env)
     assert cert.verify(c).accepted

@@ -65,12 +65,6 @@ def test_max_statistics_gain_examples():
         stats.max_statistics_gain(1.5, 2)
 
 
-def test_smooth_density_dataclass():
-    sd = stats.SmoothDensity(1 << 20)
-    assert sd.density(0.5) == stats.density(0.5)
-    assert sd.bucket_probabilities() == stats.bucket_probabilities()
-
-
 def test_sample_small_run_partition_and_report():
     b = 1 << 10
     report = stats.sample(64, b, 3000, seed=1)

@@ -78,13 +78,11 @@ def test_remainder_tree_rejects_tiny_moduli():
         trialdiv.remainder_tree(100, [7, 1])
 
 
-def test_remainder_tree_random_and_worker_invariance():
+def test_remainder_tree_random():
     rng = random.Random(11)
     p = trialdiv.prime_product(1, 1 << 14).value
     ms = [rng.getrandbits(rng.randrange(8, 200)) | 3 for _ in range(400)]
-    r1 = trialdiv.remainder_tree(p, ms, workers=1)
-    r3 = trialdiv.remainder_tree(p, ms, workers=3)
-    assert r1 == r3 == [p % m for m in ms]
+    assert trialdiv.remainder_tree(p, ms) == [p % m for m in ms]
 
 
 def test_remainder_tree_memory_bound():
@@ -131,7 +129,7 @@ def test_batch_factor_examples():
     products = [trialdiv.prime_product(1, 4), trialdiv.prime_product(4, 6)]
     out = trialdiv.batch_factor([84], products)
     assert (out[0].c, out[0].nprime) == (12, 7)
-    out = trialdiv.batch_factor([84, 85], products, batches=64)
+    out = trialdiv.batch_factor([84, 85], products)
     assert [(s.c, s.nprime) for s in out] == [(12, 7), (5, 17)]
     assert trialdiv.batch_factor([], products) == []
 
@@ -151,7 +149,7 @@ def test_batch_factor_matches_naive_oracle():
         products = [trialdiv.prime_product(1, bound)]
         ms = [rng.getrandbits(256) | (1 << 255) for _ in range(100)]
         ms = [m | 1 if rng.random() < 0.5 else m for m in ms]
-        splits = trialdiv.batch_factor(ms, products, workers=4)
+        splits = trialdiv.batch_factor(ms, products)
         for m, s in zip(ms, splits):
             c, rest = naive_split(m, bound)
             assert s.m == m and s.c == c and s.nprime == rest
@@ -169,8 +167,8 @@ def test_batch_factor_multi_range_equals_single():
     ]
     single = trialdiv.prime_product(1, bound)
     ms = [rng.getrandbits(192) | (1 << 191) | 1 for _ in range(60)]
-    a = trialdiv.batch_factor(ms, multi, batches=4, workers=3)
-    b = trialdiv.batch_factor(ms, [single], batches=16, workers=1)
+    a = trialdiv.batch_factor(ms, multi)
+    b = trialdiv.batch_factor(ms, [single])
     assert [(s.c, s.nprime) for s in a] == [(s.c, s.nprime) for s in b]
 
 
