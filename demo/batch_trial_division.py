@@ -38,7 +38,9 @@ print(f"\nbatch_factor over 2 prime ranges matches the single-product run")
 for m, s in zip(ms, splits):
     print(f"  m ({m.bit_length()} bits): c = {s.c}, N' has {s.nprime.bit_length()} bits")
 
-# the tree code releases memory as it descends: peak stays near 2 |P|
+# the tree runs in exact decimal arithmetic (libmpdec's NTT products and
+# Newton division) on batches of about |P| bits, recomputing subtree
+# products on the way down: live memory stays within 2 |P| plus the leaves
 meter = trialdiv.MemoryMeter()
 many = [rng.getrandbits(128) | (1 << 127) | 1 for _ in range(400)]
 trialdiv.remainder_tree(pp.value, many, meter=meter)

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from fastecpp import cert, cm, disc, prover
+from fastecpp import cert, cm, disc, prover, trialdiv
 from fastecpp.errors import CompositeDetected, GiveUp
 from fastecpp.numth import is_probable_prime
 
@@ -105,6 +105,20 @@ def test_truncated_class_poly_cache_keeps_golden(tmp_path, golden_text, env):
     config = prover.ProveConfig(seed=0, cache_dir=str(tmp_path))
     fresh = prover.Environment(config)
     fresh.table, fresh.products = env.table, env.products
+    c = prover.prove(10**20 + 39, config, fresh)
+    assert cert.serialize(c) == golden_text
+
+
+def test_corrupt_prime_product_cache_keeps_golden(tmp_path, golden_text, env):
+    """A prime-product cache file with one byte flipped must be recomputed."""
+    trialdiv.prime_product(1, 1 << 20, cache_dir=str(tmp_path))
+    path = tmp_path / "prime_product_1_1048576.bin"
+    blob = bytearray(path.read_bytes())
+    blob[len(blob) // 2] ^= 0xFF
+    path.write_bytes(bytes(blob))
+    config = prover.ProveConfig(seed=0, cache_dir=str(tmp_path))
+    fresh = prover.Environment(config)
+    fresh.table = env.table
     c = prover.prove(10**20 + 39, config, fresh)
     assert cert.serialize(c) == golden_text
 

@@ -1,5 +1,7 @@
+import decimal
 import math
 import random
+from decimal import Decimal
 
 import pytest
 
@@ -61,6 +63,13 @@ def test_prime_product_cache(tmp_path):
     assert a.value == b.value and a.nbits == b.nbits
     files = list(tmp_path.iterdir())
     assert len(files) == 1
+    # one flipped byte, length unchanged: the checksum rejects the file
+    blob = bytearray(files[0].read_bytes())
+    blob[-10] ^= 0x01
+    files[0].write_bytes(bytes(blob))
+    c = trialdiv.prime_product(1, 10_000, cache_dir=str(tmp_path))
+    assert c.value == a.value and c.nbits == a.nbits
+    assert files[0].read_bytes() != bytes(blob)  # rewritten
 
 
 # ---------------------------------------------------------------------------
@@ -95,6 +104,94 @@ def test_remainder_tree_memory_bound():
     leaf_bits = sum(m.bit_length() for m in ms)
     assert meter.peak <= 2 * pp.nbits + leaf_bits + 4096
     assert meter.live == 0  # everything released
+
+
+def _decimal_to_int(d: Decimal, w: int) -> int:
+    """Oracle for to_decimal: split d by divmod with 2^h, the inverse path."""
+    if w <= 4096:
+        return int(d)
+    h = w >> 1
+    hi, lo = divmod(d, Decimal(2) ** h)
+    return (_decimal_to_int(hi, w - h) << h) | _decimal_to_int(lo, h)
+
+
+def test_to_decimal_round_trip():
+    rng = random.Random(16)
+    ns = [0, 1]
+    for bits in (2, 3, 64, 1023, 1024, 1025, 1026, 2049, 10_007, 100_003, 2_000_000):
+        ns += [rng.getrandbits(bits) | (1 << (bits - 1)), 1 << bits]
+    ns.append((1 << 1025) - 1)
+    exact = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX,
+                            traps=[decimal.Inexact, decimal.Rounded])
+    for n in ns:
+        d = trialdiv.to_decimal(n)
+        assert d.as_tuple().exponent == 0
+        with decimal.localcontext(exact):
+            assert _decimal_to_int(d, n.bit_length()) == n, n.bit_length()
+    with pytest.raises(ValueError):
+        trialdiv.to_decimal(-1)
+
+
+def _tree_matches_oracle(pp: trialdiv.PrimeProduct, ms: list[int]) -> None:
+    """remainder_tree equals p % m for an int P and for its Decimal copy."""
+    expect = [pp.value % m for m in ms]
+    for p in (pp.value, pp.decimal_value):
+        got = trialdiv.remainder_tree(p, ms)
+        assert got == expect
+        assert all(type(r) is int for r in got)
+
+
+def test_remainder_tree_oracle_modulus_sizes():
+    """Moduli of 2 to ~2000 bits, larger than P, repeated, powers of two."""
+    rng = random.Random(17)
+    pp = trialdiv.prime_product(1, 1 << 10)  # 1420 bits
+    p = pp.value
+    ms = [rng.getrandbits(rng.randrange(2, 2001)) | 2 for _ in range(300)]
+    ms += [2, 3, 4, 1 << 64, 1 << 1420, 1 << 2000, p - 1, p, p + 1, 2 * p, p * p]
+    ms += [(1 << 1420) - 1, (1 << 1419) + 1] + ms[:20]
+    rng.shuffle(ms)
+    _tree_matches_oracle(pp, ms)
+
+
+def _moduli_with_total_bits(rng: random.Random, total: int) -> list[int]:
+    """Odd moduli of at least 2 bits whose bit lengths sum to total >= 2."""
+    ms = []
+    while total:
+        b = rng.randrange(2, 400)
+        if total - b < 2:
+            b = total
+        ms.append(rng.getrandbits(b) | (1 << (b - 1)) | 1)
+        total -= b
+    return ms
+
+
+@pytest.mark.parametrize("share", [0.3, 1.0, 4.5])
+def test_remainder_tree_oracle_batch_boundaries(share):
+    """Total modulus bits below, at and several times bitlen(P)."""
+    rng = random.Random(18)
+    pp = trialdiv.prime_product(1, 1 << 14)
+    for total in (int(share * pp.nbits) + k for k in (-5, 0, 1, 5)):
+        ms = _moduli_with_total_bits(rng, total)
+        assert sum(m.bit_length() for m in ms) == total
+        _tree_matches_oracle(pp, ms)
+
+
+def test_batch_factor_leaves_caller_context_alone():
+    """A low-precision caller context with no traps neither leaks into
+    the tree nor is changed by it."""
+    rng = random.Random(19)
+    pp = trialdiv.prime_product(1, 1 << 14)  # fresh: converts under the caller's context
+    ms = [rng.getrandbits(256) | (1 << 255) for _ in range(300)]
+    expect = [trialdiv.smooth_split(m, pp.value % m, pp.value) for m in ms]
+    with decimal.localcontext() as ctx:
+        ctx.prec = 28
+        ctx.clear_traps()
+        ctx.clear_flags()
+        before = repr(ctx)
+        splits = trialdiv.batch_factor(ms, [pp])
+        assert decimal.getcontext() is ctx
+        assert repr(ctx) == before
+    assert splits == expect
 
 
 # ---------------------------------------------------------------------------
