@@ -8,7 +8,6 @@ gcd-validated affine curve arithmetic, one step after another.
 
 import math
 import re
-import time
 from dataclasses import dataclass, field
 
 from .errors import CertificateFormatError, CompositeDetected
@@ -66,7 +65,7 @@ def _reject(step_index: int | None, reason: str) -> VerifyResult:
     return VerifyResult(False, step_index, reason)
 
 
-def _exceeds_quartic_floor(nprime: int, n: int) -> bool:
+def exceeds_quartic_floor(nprime: int, n: int) -> bool:
     """Exact integer form of nprime > (n^(1/4) + 1)^2 (conservative)."""
     u = math.isqrt(nprime)
     return u >= 2 and (u - 1) ** 4 > n
@@ -98,7 +97,7 @@ def verify_step(s: CertStep) -> VerifyResult:
         return _reject(None, "bad-cofactor")
     if s.nprime >= n:
         return _reject(None, "size-not-decreasing")
-    if not _exceeds_quartic_floor(s.nprime, n):
+    if not exceeds_quartic_floor(s.nprime, n):
         return _reject(None, "small-nprime")
     if not (0 <= s.a < n and 0 <= s.b < n and 0 <= s.px < n and 0 <= s.py < n):
         return _reject(None, "bad-point-range")
@@ -211,9 +210,3 @@ def verify_file(path: str) -> tuple[VerifyResult, Certificate]:
     with open(path, "r", encoding="ascii") as f:
         cert = parse(f.read())
     return verify(cert), cert
-
-
-def timed_verify(cert: Certificate) -> tuple[VerifyResult, float]:
-    t0 = time.perf_counter()
-    res = verify(cert)
-    return res, time.perf_counter() - t0

@@ -8,7 +8,6 @@ with an explicit residual check and precision-doubling retry.
 """
 
 import math
-import os
 import random
 import threading
 from dataclasses import dataclass
@@ -18,8 +17,6 @@ import mpmath
 from .errors import CompositeDetected, PrecisionError
 from .numth import checked_inverse
 
-_POLY_MAGIC = b"FECPP-HCP"
-_POLY_VERSION = 1
 _MAX_PRECISION_RETRIES = 4
 
 _eval_lock = threading.Lock()  # mpmath precision state is global
@@ -136,17 +133,13 @@ def _rmul(u: list, v: list) -> list:
     return out
 
 
-def hilbert_class_poly(d: int, cache_dir: str | None = None) -> ClassPolynomial:
+def hilbert_class_poly(d: int) -> ClassPolynomial:
     """Hilbert class polynomial of the fundamental discriminant d.
 
     Monic of degree h(d), integral coefficients.  Retries at doubled
     precision whenever any coefficient sits further than 1/4 from an
     integer; exceeding the retry cap raises PrecisionError.
     """
-    if cache_dir is not None:
-        cached = _load_poly(d, cache_dir)
-        if cached is not None:
-            return cached
     forms = reduced_forms(d)
     if not forms:
         raise ValueError(f"{d} is not a valid discriminant")
@@ -159,62 +152,9 @@ def hilbert_class_poly(d: int, cache_dir: str | None = None) -> ClassPolynomial:
             if first_residual is None:
                 first_residual = residual
             if residual < 0.25:
-                poly = ClassPolynomial(d, coeffs, first_residual, prec)
-                if cache_dir is not None:
-                    _save_poly(poly, cache_dir)
-                return poly
+                return ClassPolynomial(d, coeffs, first_residual, prec)
             wp *= 2
     raise PrecisionError(f"class polynomial for D={d} did not stabilise")
-
-
-def _poly_path(d: int, cache_dir: str) -> str:
-    return os.path.join(cache_dir, f"class_poly_{-d}.bin")
-
-
-def _save_poly(poly: ClassPolynomial, cache_dir: str) -> None:
-    os.makedirs(cache_dir, exist_ok=True)
-    out = bytearray()
-    out += _POLY_MAGIC
-    out.append(_POLY_VERSION)
-    out += b"%d %d\n" % (poly.d, len(poly.coeffs))
-    for c in poly.coeffs:
-        raw = c.to_bytes((c.bit_length() + 8) // 8, "little", signed=True)
-        out += len(raw).to_bytes(4, "little") + raw
-    path = _poly_path(poly.d, cache_dir)
-    tmp = path + ".tmp"
-    with open(tmp, "wb") as f:
-        f.write(bytes(out))
-    os.replace(tmp, path)
-
-
-def _load_poly(d: int, cache_dir: str) -> ClassPolynomial | None:
-    path = _poly_path(d, cache_dir)
-    try:
-        with open(path, "rb") as f:
-            blob = f.read()
-    except OSError:
-        return None
-    hl = len(_POLY_MAGIC)
-    if blob[: hl + 1] != _POLY_MAGIC + bytes([_POLY_VERSION]):
-        return None
-    try:
-        nl = blob.index(b"\n", hl + 1)
-        dd, count = (int(x) for x in blob[hl + 1 : nl].split())
-        if dd != d:
-            return None
-        pos = nl + 1
-        coeffs = []
-        for _ in range(count):
-            size = int.from_bytes(blob[pos : pos + 4], "little")
-            pos += 4 + size
-            if pos > len(blob):
-                return None  # truncated: a length prefix or coefficient is cut
-            coeffs.append(int.from_bytes(blob[pos - size : pos], "little", signed=True))
-    except (ValueError, IndexError):
-        return None
-    if pos != len(blob) or not coeffs or coeffs[-1] != 1:
-        return None
-    return ClassPolynomial(d, coeffs)
 
 
 # ---------------------------------------------------------------------------

@@ -26,16 +26,6 @@ class Curve:
         return math.gcd((4 * self.a**3 + 27 * self.b**2) % self.n, self.n)
 
 
-def validate_curve(e: Curve) -> None:
-    """Reject singular curves; a proper gcd is composite evidence."""
-    g = e.discriminant_gcd()
-    if g == 1:
-        return
-    if 1 < g < e.n:
-        raise CompositeDetected("gcd-factor", factor=g, n=e.n)
-    raise ValueError("singular curve")
-
-
 # ---------------------------------------------------------------------------
 # checked affine arithmetic (verification grade)
 

@@ -7,7 +7,6 @@ from precomputed signed-prime roots.
 """
 
 import math
-import os
 from dataclasses import dataclass, replace
 from typing import Iterator
 
@@ -16,9 +15,6 @@ import numpy as np
 from .errors import CompositeDetected
 from .numth import jacobi
 from . import trialdiv
-
-_CLASS_TABLE_MAGIC = b"FECPP-CNT"
-_CLASS_TABLE_VERSION = 1
 
 
 @dataclass(frozen=True, order=True)
@@ -137,95 +133,6 @@ def class_number_table(dmax: int) -> ClassNumberTable:
     counts = _count_forms(dmax)
     counts[~_fundamental_mask(dmax)] = 0
     return ClassNumberTable(dmax, counts)
-
-
-def _write_varint(out: bytearray, value: int) -> None:
-    if value < 0:
-        raise ValueError("varint is unsigned")
-    while True:
-        b = value & 0x7F
-        value >>= 7
-        if value:
-            out.append(b | 0x80)
-        else:
-            out.append(b)
-            return
-
-
-def _read_varint(buf: bytes, pos: int) -> tuple[int, int]:
-    shift = 0
-    value = 0
-    while True:
-        if pos >= len(buf):
-            raise ValueError("truncated varint")
-        b = buf[pos]
-        pos += 1
-        value |= (b & 0x7F) << shift
-        if not b & 0x80:
-            return value, pos
-        shift += 7
-
-
-def save_class_table(table: ClassNumberTable, path: str) -> None:
-    """Serialise a class-number table.
-
-    Layout: magic, version byte, then varints dmax, entry count, and
-    (|D| delta, h) pairs by increasing |D|.
-    """
-    out = bytearray()
-    out += _CLASS_TABLE_MAGIC
-    out.append(_CLASS_TABLE_VERSION)
-    _write_varint(out, table.dmax)
-    entries = list(table.items())
-    _write_varint(out, len(entries))
-    prev = 0
-    for d, h in entries:
-        _write_varint(out, -d - prev)
-        _write_varint(out, h)
-        prev = -d
-    tmp = path + ".tmp"
-    with open(tmp, "wb") as f:
-        f.write(bytes(out))
-    os.replace(tmp, path)
-
-
-def load_class_table(path: str) -> ClassNumberTable:
-    with open(path, "rb") as f:
-        buf = f.read()
-    if buf[: len(_CLASS_TABLE_MAGIC)] != _CLASS_TABLE_MAGIC:
-        raise ValueError("not a class-number table file")
-    pos = len(_CLASS_TABLE_MAGIC)
-    if buf[pos] != _CLASS_TABLE_VERSION:
-        raise ValueError(f"unsupported class-number table version {buf[pos]}")
-    pos += 1
-    dmax, pos = _read_varint(buf, pos)
-    count, pos = _read_varint(buf, pos)
-    h = np.zeros(dmax + 1, dtype=np.int32)
-    x = 0
-    for _ in range(count):
-        delta, pos = _read_varint(buf, pos)
-        x += delta
-        hv, pos = _read_varint(buf, pos)
-        h[x] = hv
-    return ClassNumberTable(dmax, h)
-
-
-def cached_class_number_table(dmax: int, cache_dir: str | None = None) -> ClassNumberTable:
-    """Build the table, reusing/creating an on-disk cache when possible."""
-    if cache_dir is None:
-        return class_number_table(dmax)
-    path = os.path.join(cache_dir, f"class_numbers_{dmax}.bin")
-    if os.path.exists(path):
-        try:
-            table = load_class_table(path)
-            if table.dmax == dmax:
-                return table
-        except (ValueError, OSError):
-            pass
-    table = class_number_table(dmax)
-    os.makedirs(cache_dir, exist_ok=True)
-    save_class_table(table, path)
-    return table
 
 
 def signed_prime_stream(n: int) -> Iterator[SignedPrime]:

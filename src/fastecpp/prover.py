@@ -8,16 +8,20 @@ Miller-Rabin in ascending N'.  Every random choice is seeded from the
 master seed, so a certificate depends only on (n, config).
 """
 
+import hashlib
 import math
+import os
 import random
 import sys
 import time
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from . import cert as cert_mod
 from . import cm, curve, disc, trialdiv
 from .errors import CompositeDetected, GiveUp
-from .numth import cornacchia, is_probable_prime, sqrt_mod
+from .numth import DETERMINISTIC_THRESHOLD, cornacchia, is_probable_prime, sqrt_mod
 from .parallel import derive_seed
 from .stats import EULER_GAMMA
 
@@ -33,18 +37,13 @@ class ProveConfig:
     workers: int = 1
     seed: int = 0
     b_bits: int = 20                 # smoothness bound 2**b_bits
-    range_width_bits: int = 24       # primes per product range
     dmax_cap: int = 1 << 20          # cap on the discriminant bound
     hmax: int = 64                   # largest class number considered
     pmax: int | None = None          # None: max(29, bits // 1024)
     maxparts: int = 3                # signed primes per discriminant
-    mr_rounds: int = 64
-    point_tries: int = 8             # random points per twist
     round_cap: int = 8
-    base_threshold: int = 1 << 64
     cache_dir: str | None = None
     verbose: bool = False
-    self_verify: bool = True
 
     def validate(self) -> None:
         if not (10 <= self.b_bits <= 40):
@@ -53,8 +52,11 @@ class ProveConfig:
             raise ValueError("dmax_cap too small")
         if self.hmax < 1 or self.maxparts < 1 or self.round_cap < 1:
             raise ValueError("hmax, maxparts and round_cap must be >= 1")
-        if self.base_threshold < 1 << 16:
-            raise ValueError("base_threshold must be at least 2**16")
+
+
+_RANGE_WIDTH = 1 << 24   # primes per product range
+_MR_ROUNDS = 64
+_POINT_TRIES = 8         # random points per twist
 
 
 @dataclass
@@ -173,17 +175,18 @@ def select_params(n: int, w: int = 1, config: ProveConfig | None = None) -> Step
     )
 
 
-def expected_candidates(entries: list[disc.Disc], bits: int, b: int) -> float:
-    """Plug-in estimate of surviving probable primes from these discriminants.
+def _survivor_weight(d: int, bits: int, b: int) -> float:
+    """Expected probable-prime survivors from one discriminant D.
 
-    Per discriminant: Pell solvability of the order of 1 / sqrt(|D|),
-    two cardinalities each, and a prime-after-smooth-part chance of
-    e^gamma * log2(B) / L.
+    Pell solvability of the order of 1 / sqrt(|D|), two cardinalities,
+    and a prime-after-smooth-part chance of e^gamma * log2(B) / L.
     """
-    if not entries:
-        return 0.0
-    prime_rate = math.exp(EULER_GAMMA) * math.log2(b) / bits
-    return sum(2.0 * prime_rate / math.sqrt(-e.d) for e in entries)
+    return 2.0 * (math.exp(EULER_GAMMA) * math.log2(b) / bits) / math.sqrt(-d)
+
+
+def expected_candidates(entries: list[disc.Disc], bits: int, b: int) -> float:
+    """Plug-in estimate of surviving probable primes from these discriminants."""
+    return sum((_survivor_weight(e.d, bits, b) for e in entries), 0.0)
 
 
 def choose_k(
@@ -202,25 +205,59 @@ def choose_k(
     """
     bits = n.bit_length()
     threshold = 3.0 if rnd <= 1 else 1.0
-    prime_rate = math.exp(EULER_GAMMA) * math.log2(b) / bits
     by_rank = sorted(pool, key=lambda re: re[0])
     acc = 0.0
     for rank, entry in by_rank:
-        acc += 2.0 * prime_rate / math.sqrt(-entry.d)
+        acc += _survivor_weight(entry.d, bits, b)
         if acc >= threshold:
             return rank + 1, False
     max_rank = by_rank[-1][0] if by_rank else 0
     return max_rank + 1, True
 
 
-def exceeds_quartic_floor(nprime: int, n: int) -> bool:
-    """nprime > (n^(1/4) + 1)^2, evaluated in exact integer arithmetic."""
-    u = math.isqrt(nprime)
-    return u >= 2 and (u - 1) ** 4 > n
+_CACHE_MAGIC = b"FECPP-CACHE 1"
+
+
+def _cache_header(key: str, payload: bytes) -> bytes:
+    digest = hashlib.sha256(payload).hexdigest().encode("ascii")
+    return b"%s %s %d %s\n" % (_CACHE_MAGIC, key.encode("ascii"), len(payload), digest)
+
+
+def _cache_load(cache_dir: str | None, key: str) -> bytes | None:
+    """The payload saved under `key`, or None when there is no cache
+    directory, the file is missing or unreadable, or its header (magic,
+    version, key, length, SHA-256) does not match the payload."""
+    if cache_dir is None:
+        return None
+    try:
+        with open(os.path.join(cache_dir, key + ".bin"), "rb") as f:
+            blob = f.read()
+    except OSError:
+        return None
+    header, sep, payload = blob.partition(b"\n")
+    if header + sep != _cache_header(key, payload):
+        return None
+    return payload
+
+
+def _cache_save(cache_dir: str | None, key: str, payload: bytes) -> None:
+    """Write `<key>.bin` atomically: one ASCII header line, then the payload."""
+    if cache_dir is None:
+        return
+    os.makedirs(cache_dir, exist_ok=True)
+    path = os.path.join(cache_dir, key + ".bin")
+    with open(path + ".tmp", "wb") as f:
+        f.write(_cache_header(key, payload) + payload)
+    os.replace(path + ".tmp", path)
 
 
 class Environment:
-    """Shared read-only tables: class numbers, prime products, poly memo."""
+    """Shared read-only tables: class numbers, prime products, poly memo.
+
+    The only code that reads or writes `config.cache_dir`.  Every file is
+    one checksummed envelope (`_cache_load` / `_cache_save`); a payload
+    that fails its check is recomputed and saved again.
+    """
 
     def __init__(self, config: ProveConfig):
         self.config = config
@@ -229,30 +266,61 @@ class Environment:
         self.poly_memo: dict[int, cm.ClassPolynomial] = {}
 
     def ensure_table(self, dmax: int, workers: int = 1) -> disc.ClassNumberTable:
-        """The class-number table down to -dmax; `workers` is ignored."""
+        """The class-number table down to -dmax; `workers` is ignored.
+
+        Payload: h(-x) for x = 0..dmax as little-endian int32.
+        """
         if self.table is None or self.table.dmax < dmax:
-            self.table = disc.cached_class_number_table(dmax, self.config.cache_dir)
+            key = f"class_numbers_{dmax}"
+            raw = _cache_load(self.config.cache_dir, key)
+            if raw is not None and len(raw) == 4 * (dmax + 1):
+                self.table = disc.ClassNumberTable(dmax, np.frombuffer(raw, dtype="<i4"))
+            else:
+                self.table = disc.class_number_table(dmax)
+                _cache_save(self.config.cache_dir, key, self.table._h.astype("<i4").tobytes())
         return self.table
 
     def ensure_products(self, b: int) -> list[trialdiv.PrimeProduct]:
+        """Prime products over (1, b] in ranges of `_RANGE_WIDTH`.
+
+        Payload: the product's little-endian magnitude bytes.
+        """
         if not self.products or self.products[-1].b_hi != b:
-            width = 1 << self.config.range_width_bits
-            spans = []
-            lo = 1
-            while lo < b:
-                hi = min(lo + width, b)
-                spans.append((lo, hi))
-                lo = hi
-            self.products = [
-                trialdiv.prime_product(lo, hi, self.config.cache_dir)
-                for lo, hi in spans
-            ]
+            self.products = []
+            for lo in range(1, b, _RANGE_WIDTH):
+                hi = min(lo + _RANGE_WIDTH, b)
+                key = f"prime_product_{lo}_{hi}"
+                raw = _cache_load(self.config.cache_dir, key)
+                if raw is not None:
+                    value = int.from_bytes(raw, "little")
+                    pp = trialdiv.PrimeProduct(lo, hi, value, value.bit_length(), empty=value == 1)
+                else:
+                    pp = trialdiv.prime_product(lo, hi)
+                    raw = pp.value.to_bytes((pp.nbits + 7) // 8 or 1, "little")
+                    _cache_save(self.config.cache_dir, key, raw)
+                self.products.append(pp)
         return self.products
 
     def class_poly(self, d: int) -> cm.ClassPolynomial:
+        """The class polynomial of D, memoised.
+
+        Payload: h(D) + 1 ascending coefficients in fixed-width signed
+        little-endian slots, with h(D) from the class-number table; a
+        payload of another degree or not monic is rejected.
+        """
         poly = self.poly_memo.get(d)
         if poly is None:
-            poly = cm.hilbert_class_poly(d, self.config.cache_dir)
+            key = f"class_poly_{-d}"
+            raw = _cache_load(self.config.cache_dir, key) or b""
+            w, rest = divmod(len(raw), self.table.class_number(d) + 1)
+            if w and not rest and int.from_bytes(raw[-w:], "little") == 1:
+                poly = cm.ClassPolynomial(d, [int.from_bytes(raw[i:i + w], "little", signed=True)
+                                              for i in range(0, len(raw), w)])
+            else:
+                poly = cm.hilbert_class_poly(d)
+                w = max((c.bit_length() + 8) // 8 for c in poly.coeffs)
+                _cache_save(self.config.cache_dir, key,
+                            b"".join(c.to_bytes(w, "little", signed=True) for c in poly.coeffs))
             self.poly_memo[d] = poly
         return poly
 
@@ -385,7 +453,7 @@ def run_step(
             splits = trialdiv.batch_factor([m for (_, _, _, m) in skeletons], products)
             candidates = []
             for (e, t, v, m), sp in zip(skeletons, splits):
-                if sp.c >= 2 and exceeds_quartic_floor(sp.nprime, n):
+                if sp.c >= 2 and cert_mod.exceeds_quartic_floor(sp.nprime, n):
                     candidates.append(Candidate(e, t, v, m, sp.c, sp.nprime))
             candidates.sort(key=lambda cand: cand.nprime)
             stats.candidates += len(candidates)
@@ -399,7 +467,7 @@ def run_step(
         for idx, cand in enumerate(candidates):
             t0 = time.perf_counter()
             rng = random.Random(derive_seed(step_seed, "mr", rnd, idx))
-            ok = is_probable_prime(cand.nprime, config.mr_rounds, rng)
+            ok = is_probable_prime(cand.nprime, _MR_ROUNDS, rng)
             stats.mr_tested += 1
             mr_time += time.perf_counter() - t0
             if not ok:
@@ -446,7 +514,7 @@ def _phase2(
         twists = curve.curves_from_j(j0, n)
         rng = random.Random(derive_seed(step_seed, "point", *tag))
         found = curve.find_order_point(
-            twists, cand.m, cand.c, cand.nprime, rng, tries=config.point_tries
+            twists, cand.m, cand.c, cand.nprime, rng, tries=_POINT_TRIES
         )
     if found is None:
         progress.line(
@@ -488,22 +556,15 @@ def prove_with_report(
 
     if n % 2 == 0 and n != 2:
         raise CompositeDetected("even", factor=2, n=n)
-    if n < config.base_threshold:
-        if not is_probable_prime(n):
-            raise CompositeDetected("mr-witness", n=n)
-        certificate = cert_mod.Certificate([], n)
-        report.wall_seconds = time.perf_counter() - t_start
-        return certificate, report
-
     rng = random.Random(derive_seed(config.seed, "subject", n))
-    if not is_probable_prime(n, config.mr_rounds, rng):
+    if not is_probable_prime(n, _MR_ROUNDS, rng):  # exact below the threshold
         raise CompositeDetected("mr-witness", n=n)
 
     steps: list[cert_mod.CertStep] = []
     current = n
     level = 0
     try:
-        while current >= config.base_threshold:
+        while current >= DETERMINISTIC_THRESHOLD:
             params = select_params(current, config=config)
             step_seed = derive_seed(config.seed, "step", level)
             step = run_step(
@@ -521,13 +582,12 @@ def prove_with_report(
     certificate = cert_mod.Certificate(steps, current)
     report.wall_seconds = time.perf_counter() - t_start
 
-    if config.self_verify:
-        res = cert_mod.verify(certificate)
-        if not res:
-            raise RuntimeError(
-                f"internal error: generated certificate failed verification "
-                f"({res.reason} at step {res.step_index})"
-            )
+    res = cert_mod.verify(certificate)
+    if not res:
+        raise RuntimeError(
+            f"internal error: generated certificate failed verification "
+            f"({res.reason} at step {res.step_index})"
+        )
     return certificate, report
 
 

@@ -17,17 +17,12 @@ stays within about twice the batch size plus the leaves.
 """
 
 import decimal
-import hashlib
 import math
-import os
 from dataclasses import dataclass
 from decimal import Decimal
 from functools import cached_property
 
 import numpy as np
-
-_PRODUCT_MAGIC = b"FECPP-PP"
-_PRODUCT_VERSION = 2
 
 _EXACT = decimal.Context(
     prec=decimal.MAX_PREC,
@@ -135,62 +130,16 @@ class PrimeProduct:
         return to_decimal(self.value)
 
 
-def prime_product(b_lo: int, b_hi: int, cache_dir: str | None = None) -> PrimeProduct:
+def prime_product(b_lo: int, b_hi: int) -> PrimeProduct:
     """Exact product of the primes in (b_lo, b_hi].
 
-    An empty range yields value 1 with the `empty` flag set.  With a cache
-    directory the product is stored on disk for reuse across runs.
+    An empty range yields value 1 with the `empty` flag set.
     """
     if not (1 <= b_lo < b_hi):
         raise ValueError("need 1 <= b_lo < b_hi")
-    if cache_dir is not None:
-        path = os.path.join(cache_dir, f"prime_product_{b_lo}_{b_hi}.bin")
-        cached = _load_product(path, b_lo, b_hi)
-        if cached is not None:
-            return cached
     ps = primes_in_range(b_lo, b_hi)
     value = _balanced_product(ps)
-    pp = PrimeProduct(b_lo, b_hi, value, value.bit_length(), empty=not ps)
-    if cache_dir is not None:
-        os.makedirs(cache_dir, exist_ok=True)
-        _save_product(pp, path)
-    return pp
-
-
-def _save_product(pp: PrimeProduct, path: str) -> None:
-    raw = pp.value.to_bytes((pp.value.bit_length() + 7) // 8 or 1, "little")
-    header = _PRODUCT_MAGIC + bytes([_PRODUCT_VERSION])
-    digest = hashlib.sha256(raw).hexdigest().encode("ascii")
-    meta = b"%d %d %d %s\n" % (pp.b_lo, pp.b_hi, len(raw), digest)
-    tmp = path + ".tmp"
-    with open(tmp, "wb") as f:
-        f.write(header + meta + raw)
-    os.replace(tmp, path)
-
-
-def _load_product(path: str, b_lo: int, b_hi: int) -> PrimeProduct | None:
-    """The cached product, or None if the file is missing, for another
-    range, or its length or SHA-256 does not match the raw bytes."""
-    try:
-        with open(path, "rb") as f:
-            blob = f.read()
-    except OSError:
-        return None
-    hl = len(_PRODUCT_MAGIC)
-    if blob[: hl + 1] != _PRODUCT_MAGIC + bytes([_PRODUCT_VERSION]):
-        return None
-    try:
-        nl = blob.index(b"\n", hl + 1)
-        lo, hi, size, digest = blob[hl + 1 : nl].split()
-        raw = blob[nl + 1 :]
-        if (int(lo), int(hi)) != (b_lo, b_hi) or len(raw) != int(size):
-            return None
-        if hashlib.sha256(raw).hexdigest().encode("ascii") != digest:
-            return None
-        value = int.from_bytes(raw, "little")
-    except ValueError:
-        return None
-    return PrimeProduct(b_lo, b_hi, value, value.bit_length(), empty=value == 1)
+    return PrimeProduct(b_lo, b_hi, value, value.bit_length(), empty=not ps)
 
 
 def _bits(x: Decimal) -> int:

@@ -5,7 +5,7 @@ import shutil
 
 import pytest
 
-from fastecpp import cert, cm, disc, prover, trialdiv
+from fastecpp import cert, cm, disc, prover
 from fastecpp.errors import CompositeDetected
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
@@ -23,8 +23,8 @@ def table2000():
 
 
 @pytest.fixture(scope="session")
-def product_2_20(cache_dir):
-    return trialdiv.prime_product(1, 1 << 20, cache_dir=cache_dir)
+def product_2_20(env):
+    return env.products[0]
 
 
 @pytest.fixture(scope="session")
@@ -48,9 +48,10 @@ def bad_poly_cache(tmp_path_factory, env):
     """A cache directory whose class polynomial for D = -6532 is wrong.
 
     D = -6532 is the discriminant of level 1 of the pinned 10^100 chain.
-    The file holds a seeded random monic degree-16 polynomial with no root
-    modulo that level's N; the class-number table and the prime product
-    are copied from the shared cache.  Returns (directory, level-1 N).
+    The file is a valid cache envelope holding a seeded random monic
+    polynomial of degree h(-6532) = 16 with no root modulo that level's N,
+    so it passes every load check; the class-number table and the prime
+    product are copied from the shared cache.  Returns (directory, level-1 N).
     """
     with open(os.path.join(DATA_DIR, "cert_10pow100.txt"), encoding="ascii") as f:
         level1 = cert.parse(f.read()).steps[1]
@@ -68,5 +69,7 @@ def bad_poly_cache(tmp_path_factory, env):
         os.path.join(env.config.cache_dir, "prime_product_*.bin")
     ):
         shutil.copy(name, path)
-    cm._save_poly(poly, path)
+    w = max((c.bit_length() + 8) // 8 for c in poly.coeffs)
+    payload = b"".join(c.to_bytes(w, "little", signed=True) for c in poly.coeffs)
+    prover._cache_save(path, "class_poly_6532", payload)
     return path, level1.n

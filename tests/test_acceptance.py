@@ -81,7 +81,9 @@ def test_criterion_01_end_to_end(run50, run100, tmp_path):
         assert _fresh_process_verify(path) == 0, label
     # verification is far cheaper than generation (well under 5%)
     n, certificate, report, gen_seconds = run50
-    res, verify_seconds = cert.timed_verify(certificate)
+    t0 = time.perf_counter()
+    res = cert.verify(certificate)
+    verify_seconds = time.perf_counter() - t0
     assert res.accepted
     assert verify_seconds < 0.05 * gen_seconds
     _pass(1, f"10^50 ({len(run50[1].steps)} steps, {run50[3]:.1f}s) and "

@@ -4,7 +4,7 @@ import random
 import mpmath
 import pytest
 
-from fastecpp import cm
+from fastecpp import cm, prover
 from fastecpp.errors import CompositeDetected
 from fastecpp.numth import cornacchia, is_probable_prime, jacobi, sqrt_mod
 
@@ -93,26 +93,48 @@ def test_hilbert_class_poly_rejects_bad_d():
         cm.hilbert_class_poly(4)
 
 
-def test_class_poly_cache_roundtrip(tmp_path):
+def _cache_env(tmp_path, table):
+    env = prover.Environment(prover.ProveConfig(cache_dir=str(tmp_path)))
+    env.table = table
+    return env
+
+
+def test_class_poly_cache_roundtrip(tmp_path, table2000, monkeypatch):
     d = -71
-    a = cm.hilbert_class_poly(d, cache_dir=str(tmp_path))
-    b = cm.hilbert_class_poly(d, cache_dir=str(tmp_path))
-    assert a.coeffs == b.coeffs
+    a = _cache_env(tmp_path, table2000).class_poly(d)
     assert (tmp_path / "class_poly_71.bin").exists()
 
+    def recompute(d):
+        raise AssertionError("cached polynomial not used")
 
-def test_class_poly_cache_rejects_damaged_files(tmp_path):
+    monkeypatch.setattr(cm, "hilbert_class_poly", recompute)
+    b = _cache_env(tmp_path, table2000).class_poly(d)
+    assert a.coeffs == b.coeffs
+
+
+def test_class_poly_cache_rejects_damaged_files(tmp_path, table2000):
     d = -1235
-    good = cm.hilbert_class_poly(d, cache_dir=str(tmp_path))
+    good = _cache_env(tmp_path, table2000).class_poly(d)
     path = tmp_path / "class_poly_1235.bin"
     blob = path.read_bytes()
-    assert cm._load_poly(d, str(tmp_path)).coeffs == good.coeffs
-    # the top coefficient 1 is stored last as a 4-byte length and 1 byte
-    not_monic = blob[:-1] + b"\x02"
-    for damaged in (blob[:-5], blob[:-1], blob[:-300], blob[:9], blob + b"\x00", not_monic):
+    payload = blob[blob.index(b"\n") + 1:]
+    w = len(payload) // (table2000.class_number(d) + 1)
+    assert w == 53
+
+    def slots(coeffs):
+        return b"".join(c.to_bytes(w, "little", signed=True) for c in coeffs)
+
+    assert slots(good.coeffs) == payload
+    envelopes = []
+    # checksummed envelopes that fail the degree or monicity check: monic
+    # of degree h(D) + 1 and h(D) - 1, and degree h(D) with top coefficient 2
+    for bad in (slots(good.coeffs[:-1] + [0, 1]), slots(good.coeffs[1:]),
+                slots(good.coeffs[:-1] + [2])):
+        prover._cache_save(str(tmp_path), "class_poly_1235", bad)
+        envelopes.append(path.read_bytes())
+    for damaged in [blob[:-5], blob[:-1], blob[:-300], blob[:9], blob + b"\x00"] + envelopes:
         path.write_bytes(damaged)
-        assert cm._load_poly(d, str(tmp_path)) is None
-        assert cm.hilbert_class_poly(d, cache_dir=str(tmp_path)).coeffs == good.coeffs
+        assert _cache_env(tmp_path, table2000).class_poly(d).coeffs == good.coeffs
         assert path.read_bytes() == blob  # recomputed and written back
 
 

@@ -159,15 +159,6 @@ def test_curves_from_j_generic():
     assert curves[0].b != curves[1].b
 
 
-def test_validate_curve():
-    curve.validate_curve(Curve(97, 2, 3))
-    with pytest.raises(ValueError):
-        curve.validate_curve(Curve(7, 0, 0))
-    with pytest.raises(CompositeDetected) as exc:
-        curve.validate_curve(Curve(91, 0, 7))
-    assert exc.value.factor in (7, 13)
-
-
 # ---------------------------------------------------------------------------
 # order-point search
 

@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from fastecpp import disc
+from fastecpp import disc, prover
 from fastecpp.errors import CompositeDetected
 from fastecpp.numth import jacobi, sqrt_mod
 
@@ -77,16 +77,28 @@ def test_table_rejects_tiny_dmax():
         disc.class_number_table(3)
 
 
-def test_table_cache_roundtrip(tmp_path, table2000):
-    path = str(tmp_path / "cnt.bin")
-    disc.save_class_table(table2000, path)
-    loaded = disc.load_class_table(path)
+def test_table_cache_roundtrip(tmp_path, table2000, monkeypatch):
+    config = prover.ProveConfig(cache_dir=str(tmp_path))
+    prover.Environment(config).ensure_table(2000)
+    path = tmp_path / "class_numbers_2000.bin"
+    good = path.read_bytes()
+    real = disc.class_number_table
+
+    def recompute(dmax):
+        raise AssertionError("cached table not used")
+
+    monkeypatch.setattr(disc, "class_number_table", recompute)
+    loaded = prover.Environment(config).ensure_table(2000)
     assert loaded.dmax == table2000.dmax
     assert np.array_equal(loaded._h, table2000._h)
-    with open(path, "r+b") as f:
-        f.write(b"XXXX")
-    with pytest.raises(ValueError):
-        disc.load_class_table(path)
+    monkeypatch.setattr(disc, "class_number_table", real)
+    # a damaged header, and a checksummed payload one entry short
+    prover._cache_save(str(tmp_path), "class_numbers_2000", table2000._h[:-1].tobytes())
+    for damaged in (b"XXXX" + good[4:], path.read_bytes()):
+        path.write_bytes(damaged)
+        loaded = prover.Environment(config).ensure_table(2000)
+        assert np.array_equal(loaded._h, table2000._h)
+        assert path.read_bytes() == good  # recomputed and written back
 
 
 # ---------------------------------------------------------------------------

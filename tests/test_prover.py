@@ -1,9 +1,10 @@
 import os
 import random
+import shutil
 
 import pytest
 
-from fastecpp import cert, cm, disc, prover, trialdiv
+from fastecpp import cert, disc, prover
 from fastecpp.errors import CompositeDetected, GiveUp
 from fastecpp.numth import is_probable_prime
 
@@ -61,9 +62,9 @@ def test_choose_k_empty_pool():
 
 def test_quartic_floor_examples():
     # N = 13: N' = 7 is below (13^(1/4) + 1)^2 = 8.43
-    assert not prover.exceeds_quartic_floor(7, 13)
-    assert prover.exceeds_quartic_floor(10**6, 10**20) is False
-    assert prover.exceeds_quartic_floor(10**11, 10**20) is True
+    assert not cert.exceeds_quartic_floor(7, 13)
+    assert cert.exceeds_quartic_floor(10**6, 10**20) is False
+    assert cert.exceeds_quartic_floor(10**11, 10**20) is True
 
 
 def test_prove_terminal_cases(env):
@@ -97,30 +98,65 @@ def test_golden_regression_and_determinism(cache_dir, golden_text, env):
     assert cert.serialize(c) == golden_text
 
 
-def test_truncated_class_poly_cache_keeps_golden(tmp_path, golden_text, env):
-    """A class polynomial cache file cut short must be recomputed, not used."""
-    cm.hilbert_class_poly(-1235, cache_dir=str(tmp_path))  # the golden step's D
-    path = tmp_path / "class_poly_1235.bin"
-    path.write_bytes(path.read_bytes()[:-5])
-    config = prover.ProveConfig(seed=0, cache_dir=str(tmp_path))
-    fresh = prover.Environment(config)
-    fresh.table, fresh.products = env.table, env.products
-    c = prover.prove(10**20 + 39, config, fresh)
-    assert cert.serialize(c) == golden_text
+def _flip_payload_byte(blob: bytes, offset: int, mask: int) -> bytes:
+    out = bytearray(blob)
+    out[blob.index(b"\n") + 1 + offset] ^= mask
+    return bytes(out)
 
 
-def test_corrupt_prime_product_cache_keeps_golden(tmp_path, golden_text, env):
-    """A prime-product cache file with one byte flipped must be recomputed."""
-    trialdiv.prime_product(1, 1 << 20, cache_dir=str(tmp_path))
-    path = tmp_path / "prime_product_1_1048576.bin"
-    blob = bytearray(path.read_bytes())
-    blob[len(blob) // 2] ^= 0xFF
-    path.write_bytes(bytes(blob))
+@pytest.mark.parametrize("name, damage", [
+    # h(-1235) = 12 is entry 1235 of the int32 table: 12 -> 76 > hmax
+    ("class_numbers_1048576", lambda blob: _flip_payload_byte(blob, 4 * 1235, 0x40)),
+    ("prime_product_1_1048576",
+     lambda blob: _flip_payload_byte(blob, (len(blob) - blob.index(b"\n")) // 2, 0xFF)),
+    # D = -1235 is the golden step's discriminant
+    ("class_poly_1235", lambda blob: blob[:-5]),
+], ids=["table", "product", "poly"])
+def test_damaged_cache_keeps_golden(tmp_path, golden_text, env, name, damage):
+    """A damaged cache file must be recomputed and rewritten, never used."""
+    for kept in ("class_numbers_1048576", "prime_product_1_1048576"):
+        shutil.copy(os.path.join(env.config.cache_dir, kept + ".bin"), tmp_path)
     config = prover.ProveConfig(seed=0, cache_dir=str(tmp_path))
-    fresh = prover.Environment(config)
-    fresh.table = env.table
-    c = prover.prove(10**20 + 39, config, fresh)
+    writer = prover.Environment(config)
+    writer.ensure_table(1 << 20)
+    writer.class_poly(-1235)
+    path = tmp_path / (name + ".bin")
+    good = path.read_bytes()
+    path.write_bytes(damage(good))
+    c = prover.prove(10**20 + 39, config, prover.Environment(config))
     assert cert.serialize(c) == golden_text
+    assert path.read_bytes() == good
+
+
+def test_cache_envelope_rejects_damaged_files(tmp_path):
+    cache = str(tmp_path)
+    payload = bytes(range(256)) * 3
+    prover._cache_save(cache, "k1", payload)
+    prover._cache_save(cache, "k2", payload)
+    path = tmp_path / "k1.bin"
+    blob = path.read_bytes()
+    assert blob.startswith(b"FECPP-CACHE 1 k1 768 ")
+    assert sorted(os.listdir(cache)) == ["k1.bin", "k2.bin"]
+    assert prover._cache_load(cache, "k1") == payload
+    assert prover._cache_load(cache, "absent") is None
+    assert prover._cache_load(None, "k1") is None
+    # the version-1 class-polynomial file of D = -23: magic, version
+    # byte, "D count", then length-prefixed signed coefficients
+    coeffs = [12771880859375, -5151296875, 3491750, 1]
+    old_v1 = b"FECPP-HCP\x01-23 4\n" + b"".join(
+        len(raw).to_bytes(4, "little") + raw
+        for raw in (c.to_bytes((c.bit_length() + 8) // 8, "little", signed=True) for c in coeffs)
+    )
+    for damaged in (
+        _flip_payload_byte(blob, 100, 0x10),
+        blob[:-1],
+        blob + b"\x00",
+        (tmp_path / "k2.bin").read_bytes(),
+    ):
+        path.write_bytes(damaged)
+        assert prover._cache_load(cache, "k1") is None
+    (tmp_path / "class_poly_23.bin").write_bytes(old_v1)
+    assert prover._cache_load(cache, "class_poly_23") is None
 
 
 def test_certificates_independent_of_workers(cache_dir, golden_text, env):
@@ -158,7 +194,7 @@ def test_prove_seed_sensitivity_still_verifies(cache_dir, env):
     # chain monotonicity and the soundness floor, re-derived from the chain
     for s in c.steps:
         assert s.nprime < s.n
-        assert prover.exceeds_quartic_floor(s.nprime, s.n)
+        assert cert.exceeds_quartic_floor(s.nprime, s.n)
 
 
 def test_report_text_shape(cache_dir, env):

@@ -5,7 +5,7 @@ from decimal import Decimal
 
 import pytest
 
-from fastecpp import trialdiv
+from fastecpp import prover, trialdiv
 
 # ---------------------------------------------------------------------------
 # oracle: naive trial division
@@ -57,19 +57,27 @@ def test_prime_product_validation():
         trialdiv.prime_product(0, 5)
 
 
-def test_prime_product_cache(tmp_path):
-    a = trialdiv.prime_product(1, 10_000, cache_dir=str(tmp_path))
-    b = trialdiv.prime_product(1, 10_000, cache_dir=str(tmp_path))
-    assert a.value == b.value and a.nbits == b.nbits
+def test_prime_product_cache(tmp_path, monkeypatch):
+    config = prover.ProveConfig(cache_dir=str(tmp_path))
+    [a] = prover.Environment(config).ensure_products(10_000)
+    assert a == trialdiv.prime_product(1, 10_000)
     files = list(tmp_path.iterdir())
-    assert len(files) == 1
+    assert [f.name for f in files] == ["prime_product_1_10000.bin"]
+    good = files[0].read_bytes()
+    real = trialdiv.prime_product
+
+    def recompute(lo, hi):
+        raise AssertionError("cached product not used")
+
+    monkeypatch.setattr(trialdiv, "prime_product", recompute)
+    assert prover.Environment(config).ensure_products(10_000) == [a]
     # one flipped byte, length unchanged: the checksum rejects the file
-    blob = bytearray(files[0].read_bytes())
+    blob = bytearray(good)
     blob[-10] ^= 0x01
     files[0].write_bytes(bytes(blob))
-    c = trialdiv.prime_product(1, 10_000, cache_dir=str(tmp_path))
-    assert c.value == a.value and c.nbits == a.nbits
-    assert files[0].read_bytes() != bytes(blob)  # rewritten
+    monkeypatch.setattr(trialdiv, "prime_product", real)
+    assert prover.Environment(config).ensure_products(10_000) == [a]
+    assert files[0].read_bytes() == good  # rewritten
 
 
 # ---------------------------------------------------------------------------
