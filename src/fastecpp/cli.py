@@ -1,10 +1,11 @@
 """Command-line interface: prove, verify, stats, bench.
 
-Exit codes: 0 success, 1 mathematical reject (composite input or
-certificate rejection), 2 I/O or parse errors, 3 give-up.
+Exit codes: 0 success, 1 mathematical reject (composite input with a
+witness, or certificate rejection), 2 I/O or parse errors, 3 give-up.
 """
 
 import argparse
+import math
 import re
 import sys
 import time
@@ -67,6 +68,9 @@ def cmd_prove(args) -> int:
     try:
         certificate, report = prove_with_report(n, config)
     except CompositeDetected as exc:
+        if exc.factor is not None and not 1 < math.gcd(exc.factor, n) < n:
+            print(f"give-up: {exc}: not a proper factor of {n}", file=sys.stderr)
+            return EXIT_GIVEUP
         print(f"composite: {n}", file=sys.stderr)
         print(f"evidence: {exc}", file=sys.stderr)
         return EXIT_REJECT
@@ -158,9 +162,12 @@ def cmd_bench(args) -> int:
         t0 = time.perf_counter()
         try:
             certificate, report = prove_with_report(n, config, env)
-        except (CompositeDetected, GiveUp) as exc:
+        except CompositeDetected as exc:
             print(f"error proving first prime after 10^{nd}: {exc}", file=sys.stderr)
             return EXIT_REJECT
+        except GiveUp as exc:
+            print(f"give-up proving first prime after 10^{nd}: {exc}", file=sys.stderr)
+            return EXIT_GIVEUP
         wall = time.perf_counter() - t0
         result = verify(certificate)
         if not result:

@@ -78,13 +78,22 @@ def reduced_forms(d: int) -> list[ReducedForm]:
     return forms
 
 
+def _pow8(t):
+    t = t * t
+    t = t * t
+    return t * t
+
+
 def _j_from_theta(q) -> "mpmath.mpc":
-    """Klein j from the three theta constants at nome q = exp(pi*i*tau)."""
-    t2 = mpmath.jtheta(2, 0, q)
-    t3 = mpmath.jtheta(3, 0, q)
-    t4 = mpmath.jtheta(4, 0, q)
-    h2, h3, h4 = t2**8, t3**8, t4**8
-    return 32 * (h2 + h3 + h4) ** 3 / (h2 * h3 * h4)
+    """Klein j from the three theta constants at nome q = exp(pi*i*tau).
+
+    j = 32 (h2 + h3 + h4)^3 / (h2 h3 h4) with hk = theta_k^8.  The powers
+    are plain products (three squarings for each eighth power, s * s * s
+    for the cube): mpmath's complex `**` goes through log and exp.
+    """
+    h2, h3, h4 = (_pow8(mpmath.jtheta(k, 0, q)) for k in (2, 3, 4))
+    s = h2 + h3 + h4
+    return 32 * (s * s * s) / (h2 * h3 * h4)
 
 
 def precision_for(d: int, forms: list[ReducedForm]) -> int:
@@ -209,13 +218,9 @@ def _pdiv_exact(u: list[int], f: list[int], n: int) -> list[int]:
     return _ptrim(q)
 
 
-def _pack(p: list[int], wb: int, order: str = "little") -> int:
-    """Kronecker substitution: p[i] goes into the i-th slot of wb bytes.
-
-    With order "big" the slots are filled from the top, which packs the
-    reversal of p.
-    """
-    return int.from_bytes(b"".join(c.to_bytes(wb, order) for c in p), order)
+def _pack(p: list[int], wb: int) -> int:
+    """Kronecker substitution: p[i] goes into the i-th slot of wb bytes."""
+    return int.from_bytes(b"".join(c.to_bytes(wb, "little") for c in p), "little")
 
 
 def _unpack(x: int, count: int, wb: int) -> list[int]:
@@ -230,33 +235,32 @@ class _Modulus:
     A residue is a dense list of d coefficients in [0, n).  Polynomials
     are multiplied by Kronecker substitution: each is packed into one
     integer with a byte-aligned slot per coefficient, wide enough that no
-    slot of a product of two residues carries (d * (n-1)^2 < 2^(8*wb)),
-    so a polynomial product is one big-int product.  A product s is
-    reduced by f with inv = rev(f)^-1 mod x^(d-1) (von zur Gathen &
-    Gerhard, Modern Computer Algebra, sec. 9.1): the quotient of s by f is
-    the reversal of rev(s) * inv mod x^(d-1), so a reduction costs two
-    more packed products.  f is monic, so inv needs no inversion mod n.
+    slot carries (2d * (n-1)^2 < 2^(8*wb)), so a polynomial product is one
+    big-int product.  A product s of two residues has 2d - 1 slots; it is
+    reduced by f with the precomputed packed rows x^(d+i) mod f,
+    i = 0..d-2: the high slots, each taken mod n, scale their rows and
+    are added onto the low d slots, so a reduction costs d - 1 scalar x
+    packed products and no division by f.
     """
 
     def __init__(self, f: list[int], n: int):
         d = len(f) - 1
         self.f, self.n, self.d = f, n, d
         self.wb = (2 * n.bit_length() + d.bit_length() + 8) // 8
-        rev = f[::-1]  # rev[0] == 1, so the series inverse is a plain recurrence
-        inv = [1]
-        for k in range(1, d - 1):
-            inv.append(-sum(rev[j] * inv[k - j] for j in range(1, k + 1)) % n)
-        self.inv = _pack(inv, self.wb)
-        self.low = _pack(f[:d], self.wb)
+        self.low_bits = 8 * self.wb * d
+        row = [-c % n for c in f[:d]]  # x^d mod f
+        self.rows = []
+        for _ in range(d - 1):
+            self.rows.append(_pack(row, self.wb))
+            row = self.times_linear(row, 0)
 
     def reduce(self, s: int) -> list[int]:
         """The residue of s mod f, for s a packed product of two residues."""
-        n, d, wb = self.n, self.d, self.wb
-        s = _unpack(s, 2 * d - 1, wb)
-        hi = [c % n for c in s[d:]]
-        q_rev = [c % n for c in _unpack(_pack(hi, wb, "big") * self.inv, d - 1, wb)]
-        qf = _unpack(_pack(q_rev, wb, "big") * self.low, d, wb)
-        return [(a - b) % n for a, b in zip(s, qf)]
+        n = self.n
+        acc = s & ((1 << self.low_bits) - 1)
+        for c, row in zip(_unpack(s >> self.low_bits, self.d - 1, self.wb), self.rows):
+            acc += c % n * row
+        return [c % n for c in _unpack(acc, self.d, self.wb)]
 
     def times_linear(self, r: list[int], delta: int) -> list[int]:
         """r * (x + delta) mod f: a shift and one fold of f."""
@@ -291,14 +295,31 @@ def poly_eval_mod(coeffs: list[int], x: int, n: int) -> int:
 def root_mod(poly: ClassPolynomial, n: int, rng: random.Random | None = None) -> int:
     """One root of the class polynomial modulo the probable prime n.
 
-    Splits off the product of linear factors with x^n - x, then isolates
-    a single root by randomised equal-degree splitting with
-    (x + delta)^((n-1)/2) - 1.  Both powers are computed modulo the monic
-    polynomial by Kronecker substitution, with reduction by the reversed
-    inverse (see `_Modulus`).  Any impossible arithmetic along the way (a
-    gcd exposing a factor of n, or no root at all) raises
-    CompositeDetected: for prime n a root must exist whenever the
-    discriminant passed the splitting test.
+    Isolates a single root by randomised equal-degree splitting of f
+    itself with (x + delta)^((n-1)/2) - 1, keeping the smaller factor of
+    each proper split.  Both powers are computed modulo the current
+    factor by Kronecker substitution and row reduction (see `_Modulus`).
+
+    No gcd(x^n - x, f) is taken up front, because for the prover's
+    inputs it is f.  A prime n with 4n = t^2 + |D| v^2 splits completely
+    in the Hilbert class field of the fundamental D (Cox, Primes of the
+    form x^2 + ny^2, sec. 9; Atkin & Morain, Math. Comp. 61, 1993), so
+    H_D mod n is a product of linear factors.  They are distinct: a prime
+    p dividing disc(H_D) makes two curves with CM by O_D isomorphic mod p,
+    which forces supersingular reduction and p <= D^2 / 4 (Gross & Zagier,
+    On singular moduli, 1985; Lauter & Viray, IMRN 2015), while every
+    step's modulus is at least 2^64 > 2^38 >= D^2 / 4 for |D| <= 2^20.
+
+    The gcd with x^n - x runs at most once, as a fallback, when a split
+    attempt first gives a trivial gcd (degree 0 or the degree of the
+    current factor g): g becomes gcd(x^n - x, g).  For a true H_D that is
+    g itself, so the random draws, and the root, are those of splitting
+    gcd(x^n - x, f).  If a polynomial that does not split leaves no root
+    in g, g becomes the last factor a split set aside, a product of
+    linear factors for prime n; with none, f has no root and
+    CompositeDetected("class-poly-has-no-root") is raised.  Any other
+    impossible arithmetic (a gcd exposing a factor of n, a root that does
+    not check, 64 attempts without a root) raises CompositeDetected too.
     """
     if n % 2 == 0 or n < 3:
         raise ValueError("root_mod: modulus must be odd and >= 3")
@@ -306,14 +327,9 @@ def root_mod(poly: ClassPolynomial, n: int, rng: random.Random | None = None) ->
     f = _ptrim([c % n for c in poly.coeffs])
     if len(f) < 2:
         raise CompositeDetected("degenerate-class-poly", n=n)
-    f = _pmonic(f, n)
-    if len(f) == 2:
-        return -f[0] % n
-    xn = _Modulus(f, n).pow_linear(0, n)
-    xn[1] = (xn[1] - 1) % n
-    g = _pgcd(xn, f, n)
-    if len(g) < 2:
-        raise CompositeDetected("class-poly-has-no-root", n=n)
+    g = f = _pmonic(f, n)
+    spare = None  # the last split-off factor that was set aside
+    checked = False  # the x^n - x gcd has run
     for _ in range(64):
         if len(g) == 2:
             root = -g[0] % n
@@ -325,5 +341,17 @@ def root_mod(poly: ClassPolynomial, n: int, rng: random.Random | None = None) ->
         t[0] = (t[0] - 1) % n
         d = _pgcd(t, g, n)
         if 1 < len(d) < len(g):
-            g = d if len(d) * 2 <= len(g) + 1 else _pdiv_exact(g, d, n)
+            if len(d) * 2 <= len(g) + 1:
+                g = d
+            else:
+                spare, g = d, _pdiv_exact(g, d, n)
+        elif not checked:
+            checked = True
+            xn = _Modulus(g, n).pow_linear(0, n)
+            xn[1] = (xn[1] - 1) % n
+            g = _pgcd(xn, g, n)
+            if len(g) < 2:
+                if spare is None:
+                    raise CompositeDetected("class-poly-has-no-root", n=n)
+                g = spare
     raise CompositeDetected("equal-degree-split-stalled", n=n)

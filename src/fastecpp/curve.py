@@ -137,13 +137,6 @@ def curves_from_j(j0: int, n: int) -> list[Curve]:
     return [Curve(n, a, b), Curve(n, a * g2 % n, b * g3 % n)]
 
 
-def j_invariant(e: Curve) -> int:
-    """1728 * 4a^3 / (4a^3 + 27b^2) mod n."""
-    num = 4 * e.a**3 % e.n
-    den = (num + 27 * e.b**2) % e.n
-    return 1728 * num % e.n * checked_inverse(den, e.n) % e.n
-
-
 def find_order_point(
     curves: list[Curve],
     m: int,

@@ -27,12 +27,6 @@ class SignedPrime:
 
     qstar: int
 
-    @property
-    def q(self) -> int:
-        """The underlying prime (2 for the even cases)."""
-        a = abs(self.qstar)
-        return 2 if a in (4, 8) else a
-
 
 @dataclass
 class Disc:
@@ -65,18 +59,6 @@ class ClassNumberTable:
         if d >= 0 or -d > self.dmax:
             raise ValueError(f"discriminant {d} outside table range")
         return int(self._h[-d])
-
-    def is_fundamental(self, d: int) -> bool:
-        return d < 0 and -d <= self.dmax and self._h[-d] > 0
-
-    def items(self) -> Iterator[tuple[int, int]]:
-        """Yield (D, h) for every fundamental D, by increasing |D|."""
-        idx = np.nonzero(self._h)[0]
-        for x in idx:
-            yield -int(x), int(self._h[x])
-
-    def __len__(self) -> int:
-        return int(np.count_nonzero(self._h))
 
 
 def _squarefree_mask(limit: int) -> np.ndarray:
@@ -164,20 +146,6 @@ def signed_prime_stream(n: int) -> Iterator[SignedPrime]:
         bound *= 4
 
 
-def signed_primes(n: int, count: int) -> list[SignedPrime]:
-    """The `count` smallest signed primes that split for n."""
-    if n < 3 or n % 2 == 0:
-        raise ValueError("n must be odd and >= 3")
-    if count < 0:
-        raise ValueError("count must be >= 0")
-    out = []
-    for sp in signed_prime_stream(n):
-        if len(out) >= count:
-            break
-        out.append(sp)
-    return out
-
-
 def _factor_small(m: int) -> tuple[int, ...]:
     """Prime factors of a small integer, with multiplicity."""
     fac = []
@@ -190,27 +158,6 @@ def _factor_small(m: int) -> tuple[int, ...]:
     if m > 1:
         fac.append(m)
     return tuple(fac)
-
-
-def is_fundamental(d: int) -> bool:
-    """Standard fundamentality predicate for a negative discriminant."""
-    if d >= 0:
-        return False
-    if d % 4 == 1:
-        return _is_squarefree(-d)
-    if d % 4 == 0:
-        m = -d // 4
-        return m % 4 in (1, 2) and _is_squarefree(m)
-    return False
-
-
-def _is_squarefree(x: int) -> bool:
-    d = 2
-    while d * d <= x:
-        if x % (d * d) == 0:
-            return False
-        d += 1
-    return x >= 1
 
 
 def enumerate_pool_discs(

@@ -539,9 +539,12 @@ def prove_with_report(
 ) -> tuple[cert_mod.Certificate, RunReport]:
     """Prove n prime; returns the certificate and the run report.
 
-    Raises CompositeDetected only for evidence about n itself.  A failure
-    on an intermediate N' says nothing about n, so it raises GiveUp, as
-    do resource limits hit first.
+    Raises CompositeDetected only with a witness that n is composite: a
+    factor of 2, a failed Miller-Rabin test of n itself, or a proper
+    factor of n found along the way (`1 < factor < n`, `n % factor == 0`).
+    Any other failure of a step says nothing checkable about n (a wrong
+    cached class polynomial, or a failure on an intermediate N'), so it
+    raises GiveUp, as do resource limits hit first.
     """
     config = config or ProveConfig()
     config.validate()
@@ -576,9 +579,9 @@ def prove_with_report(
         if not is_probable_prime(current):  # deterministic below the threshold
             raise CompositeDetected("mr-witness", n=current)
     except CompositeDetected as exc:
-        if exc.n == n:
+        if exc.n == n and exc.factor is not None and 1 < exc.factor < n and n % exc.factor == 0:
             raise
-        raise GiveUp(f"step {level} failed on an intermediate N': {exc}") from exc
+        raise GiveUp(f"step {level} failed without a factor of n: {exc}") from exc
     certificate = cert_mod.Certificate(steps, current)
     report.wall_seconds = time.perf_counter() - t_start
 

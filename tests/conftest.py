@@ -3,6 +3,7 @@ import os
 import random
 import shutil
 
+import numpy as np
 import pytest
 
 from fastecpp import cert, cm, disc, prover
@@ -20,6 +21,12 @@ def cache_dir(tmp_path_factory):
 @pytest.fixture(scope="session")
 def table2000():
     return disc.class_number_table(2000)
+
+
+@pytest.fixture(scope="session")
+def discs2000(table2000):
+    """(D, h(D)) for every fundamental -2000 <= D < 0, by increasing |D|."""
+    return [(-int(x), int(table2000._h[x])) for x in np.nonzero(table2000._h)[0]]
 
 
 @pytest.fixture(scope="session")
@@ -43,24 +50,23 @@ def golden_text():
         return f.read()
 
 
-@pytest.fixture(scope="session")
-def bad_poly_cache(tmp_path_factory, env):
-    """A cache directory whose class polynomial for D = -6532 is wrong.
+def _bad_poly_cache(tmp_path_factory, env, cert_name, level, d, h):
+    """A cache directory whose class polynomial for D is wrong at `level`.
 
-    D = -6532 is the discriminant of level 1 of the pinned 10^100 chain.
     The file is a valid cache envelope holding a seeded random monic
-    polynomial of degree h(-6532) = 16 with no root modulo that level's N,
-    so it passes every load check; the class-number table and the prime
-    product are copied from the shared cache.  Returns (directory, level-1 N).
+    polynomial of degree h(D) with no root modulo that level's N of the
+    pinned chain, so it passes every load check; the class-number table
+    and the prime product are copied from the shared cache.  Returns
+    (directory, level's N).
     """
-    with open(os.path.join(DATA_DIR, "cert_10pow100.txt"), encoding="ascii") as f:
-        level1 = cert.parse(f.read()).steps[1]
-    assert level1.d == -6532
+    with open(os.path.join(DATA_DIR, cert_name), encoding="ascii") as f:
+        step = cert.parse(f.read()).steps[level]
+    assert step.d == d and env.table.class_number(d) == h
     rng = random.Random(0)
     while True:
-        poly = cm.ClassPolynomial(-6532, [rng.randrange(level1.n) for _ in range(16)] + [1])
+        poly = cm.ClassPolynomial(d, [rng.randrange(step.n) for _ in range(h)] + [1])
         try:
-            cm.root_mod(poly, level1.n, random.Random(0))
+            cm.root_mod(poly, step.n, random.Random(0))
         except CompositeDetected as exc:
             assert exc.reason == "class-poly-has-no-root"
             break
@@ -71,5 +77,19 @@ def bad_poly_cache(tmp_path_factory, env):
         shutil.copy(name, path)
     w = max((c.bit_length() + 8) // 8 for c in poly.coeffs)
     payload = b"".join(c.to_bytes(w, "little", signed=True) for c in poly.coeffs)
-    prover._cache_save(path, "class_poly_6532", payload)
-    return path, level1.n
+    prover._cache_save(path, f"class_poly_{-d}", payload)
+    return path, step.n
+
+
+@pytest.fixture(scope="session")
+def bad_poly_cache(tmp_path_factory, env):
+    """Wrong class polynomial for D = -6532 (h = 16), level 1 of the
+    pinned 10^100 chain."""
+    return _bad_poly_cache(tmp_path_factory, env, "cert_10pow100.txt", 1, -6532, 16)
+
+
+@pytest.fixture(scope="session")
+def bad_poly_cache_level0(tmp_path_factory, env):
+    """Wrong class polynomial for D = -87235 (h = 36), level 0 of the
+    pinned 10^50 chain: the failure is on the subject itself."""
+    return _bad_poly_cache(tmp_path_factory, env, "cert_10pow50.txt", 0, -87235, 36)

@@ -14,7 +14,7 @@ import time
 import pytest
 
 import fastecpp
-from fastecpp import cert, cm, curve, disc, prover, stats, trialdiv
+from fastecpp import cert, cm, curve, prover, stats, trialdiv
 from fastecpp.curve import Curve
 from fastecpp.errors import CompositeDetected, GiveUp
 from fastecpp.numth import cornacchia, is_probable_prime, jacobi, sqrt_mod
@@ -217,12 +217,33 @@ def test_criterion_05_amplification():
 # 6. oracle equivalences
 
 
+def _is_squarefree(x: int) -> bool:
+    d = 2
+    while d * d <= x:
+        if x % (d * d) == 0:
+            return False
+        d += 1
+    return x >= 1
+
+
+def _is_fundamental(d: int) -> bool:
+    """Standard fundamentality predicate for a negative discriminant."""
+    if d >= 0:
+        return False
+    if d % 4 == 1:
+        return _is_squarefree(-d)
+    if d % 4 == 0:
+        m = -d // 4
+        return m % 4 in (1, 2) and _is_squarefree(m)
+    return False
+
+
 def _fundamental_discs_to(limit: int) -> list[int]:
     out = []
     for d in range(-3, -limit - 1, -1):
         if d % 4 not in (0, 1):
             continue
-        if disc.is_fundamental(d):
+        if _is_fundamental(d):
             out.append(d)
     return out
 
@@ -367,13 +388,13 @@ def test_criterion_06d_scalar_mul_vs_enumeration():
 # 7. class polynomial integrality
 
 
-def test_criterion_07_class_poly_integrality(table2000):
+def test_criterion_07_class_poly_integrality(discs2000):
     known = {-3: [0, 1], -4: [-1728, 1], -7: [3375, 1]}
     for d, coeffs in known.items():
         assert cm.hilbert_class_poly(d).coeffs == coeffs
     count = 0
     worst = 0.0
-    for d, h in table2000.items():
+    for d, h in discs2000:
         if h > 16:
             continue
         poly = cm.hilbert_class_poly(d)

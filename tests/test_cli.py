@@ -3,6 +3,7 @@ import os
 import pytest
 
 from fastecpp import cli
+from fastecpp.errors import CompositeDetected
 
 
 def run_cli(argv):
@@ -32,6 +33,36 @@ def test_prove_intermediate_failure_exits_3(bad_poly_cache, capsys):
     err = capsys.readouterr().err
     assert rc == 3
     assert "give-up:" in err and "composite:" not in err
+
+
+def test_prove_subject_failure_without_factor_exits_3(bad_poly_cache_level0, capsys):
+    path, _ = bad_poly_cache_level0
+    rc = run_cli(["prove", "first-prime-after:10^50", "--quiet", "--cache-dir", path])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert "give-up:" in err and "composite:" not in err
+    assert run_cli(["prove", "91", "--quiet"]) == 1
+
+
+@pytest.mark.parametrize("factor, rc", [(7, 1), (13, 1), (3, 3), (91, 3), (None, 1)])
+def test_prove_rechecks_factor_before_composite(monkeypatch, capsys, factor, rc):
+    def composite(n, config):
+        raise CompositeDetected("gcd-factor", factor=factor, n=n)
+
+    monkeypatch.setattr(cli, "prove_with_report", composite)
+    assert run_cli(["prove", "91", "--quiet"]) == rc
+    err = capsys.readouterr().err
+    assert ("composite: 91" in err) == (rc == 1)
+
+
+def test_bench_give_up_exits_3(capsys, cache_dir):
+    # no D in {-3, -4, -7, -8, -11} splits for the first prime after 10^44
+    rc = run_cli([
+        "bench", "44", "--quiet", "--dmax", "16", "--hmax", "1",
+        "--maxparts", "1", "--rounds", "2", "--cache-dir", cache_dir,
+    ])
+    assert rc == 3
+    assert "give-up" in capsys.readouterr().err
 
 
 def test_prove_bad_expression_exits_2():

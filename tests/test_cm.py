@@ -1,12 +1,16 @@
+import hashlib
 import math
+import os
 import random
 
 import mpmath
 import pytest
 
-from fastecpp import cm, prover
+from fastecpp import cert, cm, prover
 from fastecpp.errors import CompositeDetected
 from fastecpp.numth import cornacchia, is_probable_prime, jacobi, sqrt_mod
+
+DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
 # ---------------------------------------------------------------------------
 # oracle: class polynomial coefficients from mpmath's own Klein j
@@ -55,8 +59,8 @@ def test_reduced_forms_derived():
     assert len(cm.reduced_forms(-4)) == 1
 
 
-def test_reduced_forms_match_class_numbers(table2000):
-    for d, h in table2000.items():
+def test_reduced_forms_match_class_numbers(discs2000):
+    for d, h in discs2000:
         if -d > 500:
             continue
         forms = cm.reduced_forms(d)
@@ -76,9 +80,9 @@ def test_hilbert_class_poly_known_values():
         assert got.residual < 1e-6
 
 
-def test_hilbert_class_poly_against_oracle_sampled(table2000):
+def test_hilbert_class_poly_against_oracle_sampled(table2000, discs2000):
     rng = random.Random(20)
-    candidates = [d for d, h in table2000.items() if h <= 12 and -d >= 100]
+    candidates = [d for d, h in discs2000 if h <= 12 and -d >= 100]
     for d in rng.sample(candidates, 12):
         mine = cm.hilbert_class_poly(d)
         assert mine.coeffs == class_poly_oracle(d), d
@@ -138,6 +142,34 @@ def test_class_poly_cache_rejects_damaged_files(tmp_path, table2000):
         assert path.read_bytes() == blob  # recomputed and written back
 
 
+# SHA-256 of the decimal coefficients joined by spaces, for every D of the
+# pinned certificates and one h = 64 discriminant; recorded from the
+# evaluation with mpmath's complex powers (t**8, s**3) in _j_from_theta.
+CLASS_POLY_DIGESTS = {
+    -1235: "a1b108b77615a15c2ed081dae3e221207f60a8204a646da0b2c210ab69823164",
+    -87235: "d33ca40ffbe1b750bc9fbb82755bd82383b8444f6e53d842b96ab38e9593ad38",
+    -11: "ddd429a21df5e4e4e9bb3bfc0377e1adf9c1b9b8354e0d83cecff3466899c0c0",
+    -11427: "51bc69c3ef5450c845e1e86b136b90d8a90b63671c3d344730465259934120e1",
+    -6532: "d436f3ada2ec016e7c504b5350ad71934a5e1da207acc458a454a97324d3ea8d",
+    -2712: "faf9bb6a047cbae84099ad4ed4273feba764425124736f7a25eb46589cd636c4",
+    -20708: "49cd5f4a682fde36b24b3dcb2ed44eace86f16539ace0abc3083a9740c2b51a7",
+    -76867: "06bc921515cba1e26cb14135dbb9ff4616fffbd439759887855fd240b68dcda6",
+    -39: "13cf821aa98ef9c53e0d19672481609b517fa2e03192fe9ebf8de82238ce2100",
+    -24932: "52e3c030fd84a98b23440adff983b0f40801121e267dec27d2950764488e0a32",
+}
+
+
+def test_class_poly_digests():
+    pinned = set()
+    for name in ("cert_10pow20.txt", "cert_10pow50.txt", "cert_10pow100.txt"):
+        with open(os.path.join(DATA_DIR, name), encoding="ascii") as f:
+            pinned.update(step.d for step in cert.parse(f.read()).steps)
+    assert pinned < set(CLASS_POLY_DIGESTS)
+    for d, digest in CLASS_POLY_DIGESTS.items():
+        coeffs = cm.hilbert_class_poly(d).coeffs
+        assert hashlib.sha256(" ".join(map(str, coeffs)).encode()).hexdigest() == digest, d
+
+
 def test_precision_formula_covers_coefficients(table2000):
     """First-attempt precision must dominate the coefficient sizes."""
     for d in (-23, -71, -479, -1991):
@@ -149,6 +181,65 @@ def test_precision_formula_covers_coefficients(table2000):
 
 # ---------------------------------------------------------------------------
 # roots modulo N
+
+
+def root_mod_oracle(poly: cm.ClassPolynomial, n: int, rng: random.Random) -> int:
+    """The root finder with the x^n - x gcd first: split off the product of
+    the linear factors, then split it by (x + delta)^((n-1)/2) - 1."""
+    f = cm._pmonic(cm._ptrim([c % n for c in poly.coeffs]), n)
+    if len(f) == 2:
+        return -f[0] % n
+    xn = cm._Modulus(f, n).pow_linear(0, n)
+    xn[1] = (xn[1] - 1) % n
+    g = cm._pgcd(xn, f, n)
+    assert len(g) >= 2, "no root"
+    while len(g) > 2:
+        delta = rng.randrange(n)
+        t = cm._Modulus(g, n).pow_linear(delta, (n - 1) // 2)
+        t[0] = (t[0] - 1) % n
+        d = cm._pgcd(t, g, n)
+        if 1 < len(d) < len(g):
+            g = d if len(d) * 2 <= len(g) + 1 else cm._pdiv_exact(g, d, n)
+    return -g[0] % n
+
+
+@pytest.mark.parametrize("name", ["cert_10pow50.txt", "cert_10pow100.txt"])
+def test_root_mod_matches_oracle_on_pinned_chains(name):
+    with open(os.path.join(DATA_DIR, name), encoding="ascii") as f:
+        steps = cert.parse(f.read()).steps
+    for i, step in enumerate(steps):
+        poly = cm.hilbert_class_poly(step.d)
+        for seed in (i, 1000 + i):
+            root = cm.root_mod(poly, step.n, random.Random(seed))
+            assert root == root_mod_oracle(poly, step.n, random.Random(seed)), (step.d, seed)
+            assert cm.poly_eval_mod(poly.coeffs, root, step.n) == 0
+
+
+def test_root_mod_falls_back_to_the_linear_part():
+    """f = (distinct linear factors) x (irreducible quadratic) mod a prime:
+    a split can keep the quadratic, whose x^n - x gcd is 1; the factor set
+    aside then still gives a root of f."""
+    p = 1000003
+    a = next(a for a in range(2, p) if jacobi(a, p) == -1)
+    rng = random.Random(5)
+    quadratic_left = 0
+    for k in range(1, 7):
+        for trial in range(12):
+            roots = rng.sample(range(p), k)
+            f = [-a % p, 0, 1]  # x^2 - a, irreducible mod p
+            for r in roots:
+                f = school_mul(f, [-r % p, 1], p)
+            seed = 100 * k + trial
+            assert cm.root_mod(cm.ClassPolynomial(0, f), p, random.Random(seed)) in roots
+            # the first split takes every linear factor (the larger half
+            # when k >= 2) and keeps the quadratic alone
+            delta = random.Random(seed).randrange(p)
+            quadratic_left += k >= 2 and all(jacobi(r + delta, p) == 1 for r in roots)
+    assert quadratic_left > 0
+    f = school_mul([-a % p, 0, 1], [-4 * a % p, 0, 1], p)
+    with pytest.raises(CompositeDetected) as exc:
+        cm.root_mod(cm.ClassPolynomial(0, f), p, random.Random(0))
+    assert exc.value.reason == "class-poly-has-no-root"
 
 
 def test_root_mod_linear_examples():
@@ -181,14 +272,14 @@ def test_root_mod_d7_example():
     assert 23 + 1 - t in orders and 23 + 1 + t in orders
 
 
-def test_root_mod_verifies_root(table2000):
+def test_root_mod_verifies_root(discs2000):
     rng = random.Random(21)
     primes = []
     while len(primes) < 12:
         p = rng.randrange(10**6, 10**9) | 1
         if is_probable_prime(p):
             primes.append(p)
-    candidates = [d for d, h in table2000.items() if h <= 16]
+    candidates = [d for d, h in discs2000 if h <= 16]
     found = 0
     for n in primes:
         rng2 = random.Random(n)
@@ -201,6 +292,7 @@ def test_root_mod_verifies_root(table2000):
             poly = cm.hilbert_class_poly(d)
             j0 = cm.root_mod(poly, n, random.Random(found))
             assert cm.poly_eval_mod(poly.coeffs, j0, n) == 0
+            assert j0 == root_mod_oracle(poly, n, random.Random(found)), (n, d)
             found += 1
             break
     assert found >= 8
@@ -288,6 +380,7 @@ def test_packed_product_and_reduction_match_schoolbook():
         for d in KERNEL_DEGREES:
             f = _random_monic(rng, d, n)
             m = cm._Modulus(f, n)
+            assert len(m.rows) == d - 1  # no row at degree 1, one at degree 2
             residues = [[n - 1] * d, [0] * d] + [
                 [rng.randrange(n) for _ in range(d)] for _ in range(3)
             ]

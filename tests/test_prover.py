@@ -183,6 +183,42 @@ def test_intermediate_failure_gives_up(bad_poly_cache, env):
     assert exc.value.__cause__.n == level1_n
 
 
+def test_subject_failure_without_factor_gives_up(bad_poly_cache_level0, env):
+    """A wrong cached class polynomial at level 0 is no verdict either:
+    root_mod's failure on the subject carries no factor."""
+    path, level0_n = bad_poly_cache_level0
+    config = prover.ProveConfig(seed=0, cache_dir=path)
+    fresh = prover.Environment(config)
+    fresh.table, fresh.products = env.table, env.products
+    n = prover.first_probable_prime_after(10**50)
+    assert n == level0_n
+    with pytest.raises(GiveUp) as exc:
+        prover.prove(n, config, fresh)
+    cause = exc.value.__cause__
+    assert isinstance(cause, CompositeDetected)
+    assert cause.n == n and cause.reason == "class-poly-has-no-root"
+
+
+@pytest.mark.parametrize("factor, verdict", [
+    (100000000003, True),      # a proper factor of n
+    (None, False),
+    (1, False),
+    (100000000003 * 1000000000039, False),  # n itself
+    (100000000019, False),     # does not divide n
+])
+def test_only_a_proper_factor_is_a_verdict(monkeypatch, env, factor, verdict):
+    n = 100000000003 * 1000000000039
+
+    def failing_step(current, *args, **kwargs):
+        raise CompositeDetected("gcd-factor", factor=factor, n=current)
+
+    monkeypatch.setattr(prover, "run_step", failing_step)
+    monkeypatch.setattr(prover, "is_probable_prime", lambda *args, **kwargs: True)
+    expected = CompositeDetected if verdict else GiveUp
+    with pytest.raises(expected):
+        prover.prove(n, env.config, env)
+
+
 def test_prove_seed_sensitivity_still_verifies(cache_dir, env):
     config = prover.ProveConfig(seed=12345, cache_dir=cache_dir)
     c, report = prover.prove_with_report(10**20 + 39, config, env)
