@@ -13,6 +13,7 @@ import time
 from . import stats as stats_mod
 from .cert import serialize, verify, verify_file
 from .errors import CertificateFormatError, CompositeDetected, GiveUp
+from .numth import is_strong_witness
 from .prover import Environment, ProveConfig, first_probable_prime_after, prove_with_report
 
 EXIT_OK = 0
@@ -70,6 +71,9 @@ def cmd_prove(args) -> int:
     except CompositeDetected as exc:
         if exc.factor is not None and not 1 < math.gcd(exc.factor, n) < n:
             print(f"give-up: {exc}: not a proper factor of {n}", file=sys.stderr)
+            return EXIT_GIVEUP
+        if exc.witness is not None and not is_strong_witness(n, exc.witness):
+            print(f"give-up: {exc}: base does not witness {n} composite", file=sys.stderr)
             return EXIT_GIVEUP
         print(f"composite: {n}", file=sys.stderr)
         print(f"evidence: {exc}", file=sys.stderr)
@@ -131,9 +135,13 @@ def cmd_stats(args) -> int:
     print(f"  best-of-8.9 gain >= 2 log2(B): "
           f"{stats_mod.max_statistics_gain(q, 8.9):.4f}")
     if args.sample:
-        report = stats_mod.sample(
-            args.bits, 1 << args.b_bits, args.samples, args.seed
-        )
+        try:
+            report = stats_mod.sample(
+                args.bits, 1 << args.b_bits, args.samples, args.seed
+            )
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_IO
         print()
         sys.stdout.write(report.to_text())
         print()

@@ -4,18 +4,28 @@
 class CompositeDetected(Exception):
     """The number under test was proven composite somewhere in the pipeline.
 
-    `factor`, when present, is a nontrivial divisor.  `reason` is a short
-    machine-readable tag (e.g. "gcd-factor", "mr-witness", "sqrt-failed",
-    "order-check-failed").
+    `factor`, when present, is a nontrivial divisor; `witness`, when
+    present, is a Miller-Rabin base that proves n composite by one
+    strong-pseudoprime test.  `reason` is a short machine-readable tag
+    (e.g. "gcd-factor", "mr-witness", "sqrt-failed", "order-check-failed").
     """
 
-    def __init__(self, reason: str, factor: int | None = None, n: int | None = None):
+    def __init__(
+        self,
+        reason: str,
+        factor: int | None = None,
+        n: int | None = None,
+        witness: int | None = None,
+    ):
         self.reason = reason
         self.factor = factor
         self.n = n
+        self.witness = witness
         msg = reason
         if factor is not None:
             msg += f" (factor {factor})"
+        if witness is not None:
+            msg += f" (base {witness})"
         super().__init__(msg)
 
 

@@ -1,9 +1,9 @@
 """Big-integer number theory primitives.
 
 Jacobi symbols, Miller-Rabin probable-prime tests (deterministic below
-2**64), Tonelli-Shanks square roots, and the modified Cornacchia solver
-for 4N = t^2 + |D| v^2.  Everything here is a pure function; all are safe
-for concurrent use.
+2**64) that can name their witness, Tonelli-Shanks square roots, and the
+modified Cornacchia solver for 4N = t^2 + |D| v^2.  Everything here is a
+pure function; all are safe for concurrent use.
 """
 
 import math
@@ -53,32 +53,59 @@ def _mr_witness(n: int, a: int, d: int, s: int) -> bool:
     return True
 
 
-def is_probable_prime(n: int, rounds: int = 64, rng: random.Random | None = None) -> bool:
-    """Miller-Rabin primality test.
+def compositeness_witness(
+    n: int, rounds: int = 64, rng: random.Random | None = None
+) -> int | None:
+    """Miller-Rabin test that names its evidence: None when n passes.
 
-    Below 2**64 a fixed proven base set is used and the answer is exact.
-    Above, `rounds` random bases are drawn from `rng` (module RNG when
-    omitted); False is always certain, True means "passed every round".
+    Otherwise the result w is either a small prime factor of n (n % w == 0,
+    w < n) or a Miller-Rabin base with is_strong_witness(n, w); either can
+    be re-checked without this function.  Below 2**64 a fixed proven base
+    set is used and None is exact.  Above, `rounds` >= 1 random bases are
+    drawn from `rng` (module RNG when omitted).
     """
     if n < 2:
-        raise ValueError("is_probable_prime: n must be >= 2")
+        raise ValueError("Miller-Rabin: n must be >= 2")
+    if n >= DETERMINISTIC_THRESHOLD and rounds < 1:
+        raise ValueError("Miller-Rabin: rounds must be >= 1 above 2**64")
     for p in _SMALL_PRIMES:
         if n == p:
-            return True
+            return None
         if n % p == 0:
-            return False
+            return p
     d = n - 1
     s = (d & -d).bit_length() - 1
     d >>= s
     if n < DETERMINISTIC_THRESHOLD:
-        return not any(_mr_witness(n, a, d, s) for a in _DETERMINISTIC_BASES)
+        return next((a for a in _DETERMINISTIC_BASES if _mr_witness(n, a, d, s)), None)
     if rng is None:
         rng = random
     for _ in range(rounds):
         a = rng.randrange(2, n - 1)
         if _mr_witness(n, a, d, s):
-            return False
-    return True
+            return a
+    return None
+
+
+def is_probable_prime(n: int, rounds: int = 64, rng: random.Random | None = None) -> bool:
+    """Miller-Rabin primality test.
+
+    Below 2**64 a fixed proven base set is used and the answer is exact.
+    Above, `rounds` >= 1 random bases are drawn from `rng` (module RNG
+    when omitted); False is always certain, True means "passed every
+    round".  compositeness_witness gives the evidence behind a False.
+    """
+    return compositeness_witness(n, rounds, rng) is None
+
+
+def is_strong_witness(n: int, a: int) -> bool:
+    """True if base a, 1 < a < n - 1, proves odd n > 3 composite by one
+    strong-pseudoprime test; False for every other (n, a)."""
+    if n % 2 == 0 or not 1 < a < n - 1:
+        return False
+    d = n - 1
+    s = (d & -d).bit_length() - 1
+    return _mr_witness(n, a, d >> s, s)
 
 
 def _tonelli_shanks(a: int, n: int) -> int | None:

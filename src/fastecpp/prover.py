@@ -21,7 +21,13 @@ import numpy as np
 from . import cert as cert_mod
 from . import cm, curve, disc, trialdiv
 from .errors import CompositeDetected, GiveUp
-from .numth import DETERMINISTIC_THRESHOLD, cornacchia, is_probable_prime, sqrt_mod
+from .numth import (
+    DETERMINISTIC_THRESHOLD,
+    compositeness_witness,
+    cornacchia,
+    is_probable_prime,
+    sqrt_mod,
+)
 from .parallel import derive_seed
 from .stats import EULER_GAMMA
 
@@ -540,8 +546,9 @@ def prove_with_report(
     """Prove n prime; returns the certificate and the run report.
 
     Raises CompositeDetected only with a witness that n is composite: a
-    factor of 2, a failed Miller-Rabin test of n itself, or a proper
-    factor of n found along the way (`1 < factor < n`, `n % factor == 0`).
+    small prime factor or a Miller-Rabin base (`witness`) from the test
+    of n itself, or a proper factor of n found along the way
+    (`1 < factor < n`, `n % factor == 0`).
     Any other failure of a step says nothing checkable about n (a wrong
     cached class polynomial, or a failure on an intermediate N'), so it
     raises GiveUp, as do resource limits hit first.
@@ -557,11 +564,12 @@ def prove_with_report(
     progress = _Progress(config.verbose)
     t_start = time.perf_counter()
 
-    if n % 2 == 0 and n != 2:
-        raise CompositeDetected("even", factor=2, n=n)
     rng = random.Random(derive_seed(config.seed, "subject", n))
-    if not is_probable_prime(n, _MR_ROUNDS, rng):  # exact below the threshold
-        raise CompositeDetected("mr-witness", n=n)
+    witness = compositeness_witness(n, _MR_ROUNDS, rng)  # exact below the threshold
+    if witness is not None:
+        if n % witness == 0:
+            raise CompositeDetected("small-prime-factor", factor=witness, n=n)
+        raise CompositeDetected("mr-witness", n=n, witness=witness)
 
     steps: list[cert_mod.CertStep] = []
     current = n

@@ -137,6 +137,24 @@ class SampleReport:
 
 
 _CHUNK = 4096
+# Rounds where the average-case bound admits none: 4^-17 worst case.
+_FALLBACK_ROUNDS = 17
+
+
+def _mr_rounds(k: int, bits: int) -> int:
+    """Miller-Rabin rounds for a k-bit cofactor of an L-bit draw (L = bits).
+
+    The smallest t with 3 <= t <= k/9 and
+    k^(3/2) 2^t t^(-1/2) 4^(2 - sqrt(tk)) <= 2^-33 / L, the
+    Damgard-Landrock-Pomerance bound on p_{k,t} (Math. Comp. 61, 1993),
+    compared in log2; 17 when no such t exists.  See `sample` for why.
+    """
+    limit = -33.0 - math.log2(bits)
+    for t in range(3, k // 9 + 1):
+        log2_p = 1.5 * math.log2(k) + t - 0.5 * math.log2(t) + 2.0 * (2.0 - math.sqrt(t * k))
+        if log2_p <= limit:
+            return t
+    return _FALLBACK_ROUNDS
 
 
 def sample(
@@ -155,6 +173,32 @@ def sample(
     bucket up by a visible finite-size bias.  Draws are seeded per
     fixed-size chunk and each Miller-Rabin test per sample index.
     `workers` is accepted for compatibility and ignored.
+
+    The Miller-Rabin round count depends on the bit length k of the
+    cofactor N' (`_mr_rounds`), and the chance that any one sample keeps a
+    composite N' stays below 4^-16, the worst-case bound of 16 rounds:
+
+    - N' is odd (B >= 2^10 takes out the 2s).  For a k-bit x, the draw m
+      is uniform over 2^(L-1) integers and at most 2^(L-1)/x + 1 of them
+      are multiples of x, so P(N' = x) <= 1/x + 2^(1-L) <= 2^(2-k).
+    - There are 2^(k-2) odd k-bit integers, so the chance that N' is a
+      k-bit composite passing t random rounds is at most the chance that
+      a uniform odd k-bit integer is composite and passes t rounds.  That
+      is at most p_{k,t}, the chance that it is composite given that it
+      passes (k >= 21 and 3 <= t <= k/9 for the bound).  Bases drawn from
+      [2, n-2] rather than [1, n-1] only lower each pass rate, since 1
+      and n-1 never witness.
+    - Each k <= L with a bound-derived t adds at most 2^-33 / L, so
+      at most 2^-33 together.  The sizes that get 17 rounds add at most
+      4^-17 together (Rabin's worst case), and cofactors below 2^64 take
+      the exact base set and add nothing.  The total, 3 * 2^-34, is
+      below 4^-16 = 2^-32.
+
+    At L = 256 this gives 4 rounds for cofactors of 223-256 bits, 5 for
+    181-222, 6 for 153-180, and more below, up to 17 below 99 bits.
+    Each index keeps its RNG, so a composite draws the same bases as
+    with 16 rounds, and the kept set only differs from a 16-round run if
+    a composite passes all t of its rounds.
     """
     if b < 1 << 10:
         raise ValueError("b must be at least 2**10")
@@ -173,12 +217,13 @@ def sample(
             ms.append(rng.getrandbits(bits - 1) | (1 << (bits - 1)))
 
     splits = trialdiv.batch_factor(ms, products)
+    rounds = [_mr_rounds(k, bits) for k in range(bits + 1)]
     kept_alphas = []
     for i, sp in enumerate(splits):
         if sp.nprime < 2:
             continue
         rng = random.Random(derive_seed(seed, "mr", i))
-        if is_probable_prime(sp.nprime, 16, rng):
+        if is_probable_prime(sp.nprime, rounds[sp.nprime.bit_length()], rng):
             kept_alphas.append(math.log(sp.c) / math.log(b) if sp.c > 1 else 0.0)
     alphas = np.array(kept_alphas)
 

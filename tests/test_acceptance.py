@@ -17,7 +17,7 @@ import fastecpp
 from fastecpp import cert, cm, curve, prover, stats, trialdiv
 from fastecpp.curve import Curve
 from fastecpp.errors import CompositeDetected, GiveUp
-from fastecpp.numth import cornacchia, is_probable_prime, jacobi, sqrt_mod
+from fastecpp.numth import cornacchia, is_probable_prime, is_strong_witness, jacobi, sqrt_mod
 
 
 def _pass(num: int, text: str) -> None:
@@ -148,14 +148,23 @@ def test_criterion_02_soundness_corpus(config, env):
     assert len(corpus) >= 50
 
     accepted = []
+    verdicts = 0
     for n in corpus:
         try:
             prover.prove(n, config, env)
             accepted.append(n)
-        except (CompositeDetected, GiveUp):
+        except CompositeDetected as exc:
+            # the verdict carries evidence that re-checks without the prover
+            if exc.factor is not None:
+                assert 1 < exc.factor < n and n % exc.factor == 0, (n, exc)
+            else:
+                assert exc.witness is not None and is_strong_witness(n, exc.witness), (n, exc)
+            verdicts += 1
+        except GiveUp:
             pass
     assert not accepted, f"composites accepted: {accepted}"
-    _pass(2, f"{len(corpus)} composites all ended COMPOSITE or GIVE-UP")
+    _pass(2, f"{len(corpus)} composites all ended COMPOSITE or GIVE-UP; "
+             f"{verdicts} verdicts carry a factor or base that re-checks")
 
 
 # ---------------------------------------------------------------------------

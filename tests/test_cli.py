@@ -55,6 +55,36 @@ def test_prove_rechecks_factor_before_composite(monkeypatch, capsys, factor, rc)
     assert ("composite: 91" in err) == (rc == 1)
 
 
+SPSP = 3825123056546413051  # 149491 * 747451 * 34233211, strong pseudoprime to bases 2..31
+
+
+def test_prove_strong_pseudoprime_names_its_base(capsys):
+    assert run_cli(["prove", str(SPSP), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert f"composite: {SPSP}" in err and "mr-witness (base 37)" in err
+
+
+@pytest.mark.parametrize("base, rc", [(37, 1), (1, 3), (SPSP - 1, 3), (2, 3), (SPSP, 3)])
+def test_prove_rechecks_base_before_composite(monkeypatch, capsys, base, rc):
+    def composite(n, config):
+        raise CompositeDetected("mr-witness", n=n, witness=base)
+
+    monkeypatch.setattr(cli, "prove_with_report", composite)
+    assert run_cli(["prove", str(SPSP), "--quiet"]) == rc
+    err = capsys.readouterr().err
+    assert (f"composite: {SPSP}" in err) == (rc == 1)
+    assert ("give-up:" in err) == (rc == 3)
+
+
+@pytest.mark.parametrize("argv", [
+    ["--b-bits", "5"], ["--b-bits", "-1"], ["--bits", "32"], ["--samples", "0"],
+])
+def test_stats_sample_bad_arguments_exit_2(capsys, argv):
+    assert run_cli(["stats", "--sample", *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_bench_give_up_exits_3(capsys, cache_dir):
     # no D in {-3, -4, -7, -8, -11} splits for the first prime after 10^44
     rc = run_cli([

@@ -5,9 +5,12 @@ import pytest
 
 from fastecpp.errors import CompositeDetected
 from fastecpp.numth import (
+    DETERMINISTIC_THRESHOLD,
     checked_inverse,
+    compositeness_witness,
     cornacchia,
     is_probable_prime,
+    is_strong_witness,
     jacobi,
     sqrt_mod,
 )
@@ -154,6 +157,53 @@ def test_mr_large_composites_with_seeded_rng():
     # products of two 40-bit primes: above the deterministic threshold
     p, q = 1099511627791, 1099511627803
     assert is_probable_prime(p * q, 64, rng) is False
+
+
+def test_mr_rejects_rounds_below_one_above_threshold():
+    # 2^64 + 1 = 274177 * 67280421310721 passed zero rounds as prime
+    assert factorize(2**64 + 1) == [274177, 67280421310721]
+    for rounds in (0, -1):
+        with pytest.raises(ValueError):
+            is_probable_prime(2**64 + 1, rounds)
+        with pytest.raises(ValueError):
+            is_probable_prime(2**89 - 1, rounds)  # prime
+    assert is_probable_prime(2**64 + 1, 1, random.Random(0)) is False
+    # below the threshold the round count is unused
+    assert is_probable_prime((1 << 61) - 1, 0) is True
+    assert is_probable_prime(DETERMINISTIC_THRESHOLD - 59, 0) is True
+
+
+def test_witness_is_a_factor_or_a_strong_witness():
+    rng = random.Random(4)
+    # a strong pseudoprime to every prime base up to 31
+    spsp = 3825123056546413051
+    assert factorize(spsp) == [149491, 747451, 34233211]
+    assert compositeness_witness(spsp) == 37
+    assert is_strong_witness(spsp, 37)
+    assert not any(is_strong_witness(spsp, a) for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31))
+    assert compositeness_witness(91) == 7
+    assert compositeness_witness(229) is None and compositeness_witness(2) is None
+    p, q = 1099511627791, 1099511627803
+    for n in [p * q, 2**64 + 1, (2**67 - 1), 561 * 2**70 + 1] + [
+        rng.getrandbits(200) | 1 for _ in range(50)
+    ]:
+        w = compositeness_witness(n, 8, random.Random(n))
+        assert (w is None) == is_probable_prime(n, 8, random.Random(n))
+        if w is None:
+            continue
+        if n % w == 0:
+            assert 1 < w < n and w <= 229
+        else:
+            assert 1 < w < n - 1 and is_strong_witness(n, w)
+
+
+def test_is_strong_witness_rejects_non_witnesses():
+    spsp = 3825123056546413051
+    for a in (-1, 0, 1, spsp - 1, spsp, spsp + 1):
+        assert not is_strong_witness(spsp, a)
+    assert not any(is_strong_witness(1000003, a) for a in range(2, 200))  # prime
+    assert not is_strong_witness(91 * 2, 3) and not is_strong_witness(3, 2)
+    assert is_strong_witness(91, 2)
 
 
 # ---------------------------------------------------------------------------

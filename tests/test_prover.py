@@ -6,7 +6,7 @@ import pytest
 
 from fastecpp import cert, disc, prover
 from fastecpp.errors import CompositeDetected, GiveUp
-from fastecpp.numth import is_probable_prime
+from fastecpp.numth import is_probable_prime, is_strong_witness
 
 
 def test_dmax_formula_spec_values():
@@ -87,8 +87,16 @@ def test_prove_rejects_composites(env):
 def test_prove_rejects_large_semiprime(env):
     p = prover.first_probable_prime_after(1 << 40)
     q = prover.first_probable_prime_after(p)
-    with pytest.raises(CompositeDetected):
+    with pytest.raises(CompositeDetected) as exc:
         prover.prove(p * q, env.config, env)
+    assert exc.value.reason == "mr-witness" and exc.value.factor is None
+    assert is_strong_witness(p * q, exc.value.witness)
+
+
+def test_subject_small_prime_factor_is_a_factor(env):
+    with pytest.raises(CompositeDetected) as exc:
+        prover.prove(91, env.config, env)
+    assert exc.value.factor == 7 and exc.value.witness is None
 
 
 def test_golden_regression_and_determinism(cache_dir, golden_text, env):
@@ -213,7 +221,7 @@ def test_only_a_proper_factor_is_a_verdict(monkeypatch, env, factor, verdict):
         raise CompositeDetected("gcd-factor", factor=factor, n=current)
 
     monkeypatch.setattr(prover, "run_step", failing_step)
-    monkeypatch.setattr(prover, "is_probable_prime", lambda *args, **kwargs: True)
+    monkeypatch.setattr(prover, "compositeness_witness", lambda *args, **kwargs: None)
     expected = CompositeDetected if verdict else GiveUp
     with pytest.raises(expected):
         prover.prove(n, env.config, env)

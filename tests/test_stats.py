@@ -1,5 +1,7 @@
+import hashlib
 import math
 
+import mpmath
 import pytest
 
 from fastecpp import stats
@@ -103,3 +105,53 @@ def test_sample_worker_invariance():
 def test_sample_uses_supplied_products(product_2_20):
     report = stats.sample(64, 1 << 20, 500, seed=2, env_products=[product_2_20])
     assert report.n_total == 500
+
+
+def _dlp_bound(mp, k: int, t: int):
+    """Damgard-Landrock-Pomerance bound on p_{k,t}, 3 <= t <= k/9."""
+    k, t = mp.mpf(k), mp.mpf(t)
+    return k ** 1.5 * 2 ** t / mp.sqrt(t) * 4 ** (2 - mp.sqrt(t * k))
+
+
+@pytest.mark.parametrize("bits", [64, 100, 256, 512, 4096])
+def test_mr_rounds_schedule_meets_the_bound(bits):
+    """Recomputed at 50 digits: each count is the smallest t in [3, k/9]
+    with p_{k,t} <= 2^-33 / L, or 17 where there is none, and the bound
+    summed over the schedule stays <= 2^-33."""
+    mp = mpmath.mp
+    with mp.workdps(50):
+        limit = mp.mpf(2) ** -33 / bits
+        total = mp.mpf(0)
+        for k in range(2, bits + 1):
+            t = stats._mr_rounds(k, bits)
+            smallest = next(
+                (s for s in range(3, k // 9 + 1) if _dlp_bound(mp, k, s) <= limit), None)
+            if smallest is None:
+                assert t == 17, (k, t)
+                continue
+            assert t == smallest and 3 <= t <= k / 9, (k, t)
+            total += _dlp_bound(mp, k, t)
+        assert total <= mp.mpf(2) ** -33, (bits, total)
+    if bits == 256:
+        assert [stats._mr_rounds(k, 256) for k in (98, 99, 153, 180, 181, 222, 223, 256)] == [
+            17, 11, 6, 6, 5, 5, 4, 4]
+
+
+# SHA-256 of to_kv() + histogram_csv(), recorded with 16 Miller-Rabin
+# rounds for every cofactor.
+SAMPLE_DIGESTS = {
+    (256, 20, 2000, 0): "cfe87b5dc3183ce94a675690909d366441ed218f55c2da112e8b494cb4d0a0cb",
+    (256, 20, 2000, 1): "da8d18903a6b328c3f2b2cfea9da9c769201f5da601e1ceb2e9ae3943d0d3767",
+    (256, 20, 2000, 2): "1c7f4bdc2dd83ed44656e404ab790fcd7de3b8ea891c7bdbf6d11f7b894d06fd",
+    (512, 20, 1000, 0): "2eda9b88664fe776ea648f0d6f2104f347b2389add1394ab6a9f6a1bf30b2e77",
+    (64, 10, 3000, 1): "22e55be9557f952942130d8668b64356eb92d5ddf5ec7113f028ed0df1ed896d",
+}
+
+
+@pytest.mark.parametrize("case", sorted(SAMPLE_DIGESTS), ids=lambda c: "-".join(map(str, c)))
+def test_sample_digests(case, product_2_20):
+    bits, b_bits, n, seed = case
+    products = [product_2_20] if b_bits == 20 else None
+    report = stats.sample(bits, 1 << b_bits, n, seed=seed, env_products=products)
+    text = report.to_kv() + report.histogram_csv()
+    assert hashlib.sha256(text.encode()).hexdigest() == SAMPLE_DIGESTS[case]

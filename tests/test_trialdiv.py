@@ -173,12 +173,16 @@ def _moduli_with_total_bits(rng: random.Random, total: int) -> list[int]:
     return ms
 
 
-@pytest.mark.parametrize("share", [0.3, 1.0, 4.5])
+@pytest.mark.parametrize("share", [0.25, 0.3, 1.0, 4.5])
 def test_remainder_tree_oracle_batch_boundaries(share):
-    """Total modulus bits below, at and several times bitlen(P)."""
+    """Total modulus bits around the batch cap (about bitlen(P)/4), and
+    around and several times bitlen(P)."""
     rng = random.Random(18)
     pp = trialdiv.prime_product(1, 1 << 14)
-    for total in (int(share * pp.nbits) + k for k in (-5, 0, 1, 5)):
+    totals = [int(share * pp.nbits) + k for k in (-5, 0, 1, 5)]
+    if share == 0.25:
+        assert totals[0] < trialdiv._batch_cap(pp.decimal_value) < totals[-1]
+    for total in totals:
         ms = _moduli_with_total_bits(rng, total)
         assert sum(m.bit_length() for m in ms) == total
         _tree_matches_oracle(pp, ms)
