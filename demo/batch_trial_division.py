@@ -39,10 +39,13 @@ for m, s in zip(ms, splits):
     print(f"  m ({m.bit_length()} bits): c = {s.c}, N' has {s.nprime.bit_length()} bits")
 
 # the tree runs in exact decimal arithmetic (libmpdec's NTT products and
-# Newton division) on batches of about |P| bits, recomputing subtree
-# products on the way down: live memory stays within 2 |P| plus the leaves
-meter = trialdiv.MemoryMeter()
+# Newton division); the leaves are cut into batches of about |P|/4 bits,
+# and each batch builds its product tree once and keeps it for the
+# walk down, so the live tree stays near depth * |P|/4 plus the leaves
 many = [rng.getrandbits(128) | (1 << 127) | 1 for _ in range(400)]
-trialdiv.remainder_tree(pp.value, many, meter=meter)
-print(f"\npeak live tree bits: {meter.peak} "
-      f"(2 * |P| + leaves = {2 * pp.nbits + sum(m.bit_length() for m in many)})")
+rems = trialdiv.remainder_tree(pp.value, many)
+assert rems == [pp.value % m for m in many]
+batches = trialdiv._batches(many, trialdiv._batch_cap(pp.decimal_value))
+depth = max(len(b) - 1 for b in batches).bit_length()
+print(f"\n{len(many)} moduli of 128 bits: {len(batches)} batches, "
+      f"tree depth {depth} (largest batch {max(map(len, batches))} leaves)")

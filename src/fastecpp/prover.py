@@ -75,7 +75,6 @@ class StepParams:
     pmax: int
     b: int
     maxparts: int
-    k: int = 0
 
 
 @dataclass
@@ -299,7 +298,7 @@ class Environment:
                 raw = _cache_load(self.config.cache_dir, key)
                 if raw is not None:
                     value = int.from_bytes(raw, "little")
-                    pp = trialdiv.PrimeProduct(lo, hi, value, value.bit_length(), empty=value == 1)
+                    pp = trialdiv.PrimeProduct(lo, hi, value, value.bit_length())
                 else:
                     pp = trialdiv.prime_product(lo, hi)
                     raw = pp.value.to_bytes((pp.nbits + 7) // 8 or 1, "little")
@@ -416,7 +415,6 @@ def run_step(
                 if not exhausted or len(universe) >= _UNIVERSE_CAP:
                     break
                 ensure_universe(len(universe) * 2)
-            params.k = k
             budget = min(max(k, 2 * budget_prev), len(universe))
             budget_prev = budget
             for sp in universe[:budget]:

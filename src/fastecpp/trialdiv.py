@@ -12,13 +12,14 @@ size of P.  Every tree operation runs in one context whose precision is
 unbounded in practice and which traps Inexact and Rounded, so a result
 that is not exact raises instead of being rounded; the caller's context
 is never touched.  Leaves are cut into batches of at most about
-bitlen(P)/4 bits (`_batch_cap`), and subtree products are recomputed on
-the way down, so the live tree stays within about twice the batch
-size plus the leaves.  The cap trades one more reduction of P per batch
-for shallower descents: with 10k 256-bit moduli against the 1.5-Mbit
-product of the primes below 2^20, a cap of bitlen(P) took 3.9 s,
-bitlen(P)/2 3.4 s, bitlen(P)/4 3.2-3.4 s and bitlen(P)/8 3.7 s (two
-runs each, one process, 2-core machine, CPython 3.11).
+bitlen(P)/4 bits (`_batch_cap`).  Each batch keeps all its product
+levels, so the live tree stays within about the tree depth times the
+cap, plus the leaves and P.  A smaller cap costs more reductions of P
+and keeps a smaller tree: with 10k 256-bit moduli against the
+1.5-Mbit product of the primes below 2^20, caps of bitlen(P), /2, /4
+and /8 took 3.30, 3.13-3.17, 3.24-3.44 and 3.85-3.96 s, and /2, /4 and
+/8 traced peaks of 4.7, 3.6 and 3.1 MB (three runs each, one process,
+2-core machine, CPython 3.11).
 """
 
 import decimal
@@ -74,20 +75,22 @@ def primes_in_range(lo: int, hi: int) -> list[int]:
     return [int(v) for v in vals if v >= 2]
 
 
-def _balanced_product(values: list) -> int | Decimal:
-    """Product by pairwise folding, keeping operand sizes balanced.
+def _product_levels(values: list):
+    """Yield the pairwise product levels of values, the leaves first.
 
-    Takes ints, or Decimals inside the exact context.
+    Each level multiplies neighbours of the one below, so operand sizes
+    stay balanced; an odd last value is carried up unchanged.  The last
+    level yielded holds one value, the product.  Takes ints, or Decimals
+    inside the exact context.
     """
-    if not values:
-        return 1
     layer = values
+    yield layer
     while len(layer) > 1:
         nxt = [layer[i] * layer[i + 1] for i in range(0, len(layer) - 1, 2)]
         if len(layer) % 2:
             nxt.append(layer[-1])
         layer = nxt
-    return layer[0]
+        yield layer
 
 
 def to_decimal(n: int) -> Decimal:
@@ -123,7 +126,6 @@ class PrimeProduct:
     b_hi: int
     value: int
     nbits: int
-    empty: bool = False
 
     @cached_property
     def decimal_value(self) -> Decimal:
@@ -136,15 +138,17 @@ class PrimeProduct:
 
 
 def prime_product(b_lo: int, b_hi: int) -> PrimeProduct:
-    """Exact product of the primes in (b_lo, b_hi].
+    """Exact product of the primes in (b_lo, b_hi]; 1 for an empty range.
 
-    An empty range yields value 1 with the `empty` flag set.
+    Only the top level of the product tree is kept: every level of the
+    product of the primes below 2^20 would trace 2.6 times the peak.
     """
     if not (1 <= b_lo < b_hi):
         raise ValueError("need 1 <= b_lo < b_hi")
-    ps = primes_in_range(b_lo, b_hi)
-    value = _balanced_product(ps)
-    return PrimeProduct(b_lo, b_hi, value, value.bit_length(), empty=not ps)
+    for top in _product_levels(primes_in_range(b_lo, b_hi) or [1]):
+        pass
+    value = top[0]
+    return PrimeProduct(b_lo, b_hi, value, value.bit_length())
 
 
 def _bits(x: Decimal) -> int:
@@ -157,79 +161,32 @@ def _batch_cap(p: Decimal) -> int:
     return _bits(p) // 4
 
 
-class MemoryMeter:
-    """Tracks the live big-number bits held by a remainder tree.
-
-    The tree code reports every allocation and release of an internal
-    value, so tests can assert the peak stays within the designed bound
-    (about twice the batch product size plus the leaves, and a batch is
-    at most about bitlen(P)/4 bits).  Values are Decimals; each counts as
-    ceil(digits * log2 10) bits, an upper bound on its bit length.
-    """
-
-    def __init__(self) -> None:
-        self.live = 0
-        self.peak = 0
-
-    def alloc(self, value: Decimal) -> Decimal:
-        self.live += _bits(value)
-        if self.live > self.peak:
-            self.peak = self.live
-        return value
-
-    def free(self, value: Decimal) -> None:
-        self.live -= _bits(value)
+def _batches(ms: list[int], cap: int) -> list[list[int]]:
+    """ms cut into consecutive runs of at most cap bits, one leaf minimum."""
+    batches, start, acc = [], 0, 0
+    for i, m in enumerate(ms):
+        b = m.bit_length()
+        if i > start and acc + b > cap:
+            batches.append(ms[start:i])
+            start, acc = i, b
+        else:
+            acc += b
+    batches.append(ms[start:])
+    return batches
 
 
-class _NullMeter:
-    def alloc(self, value: Decimal) -> Decimal:
-        return value
-
-    def free(self, value: Decimal) -> None:
-        pass
-
-
-_NULL_METER = _NullMeter()
-
-
-def _descend(x: Decimal, ms: list[Decimal], out: list[int], base: int, meter) -> None:
-    """Replace x = P mod prod(ms) by the per-leaf remainders, as ints.
-
-    Subtree products are recomputed at each level instead of being kept,
-    which bounds live memory by ~2x the product size at the cost of a
-    logarithmic factor in multiplications.  Runs in the exact context.
-    """
-    if len(ms) == 1:
-        out[base] = int(x)
-        meter.free(x)
-        return
-    mid = len(ms) // 2
-    left, right = ms[:mid], ms[mid:]
-    ml = meter.alloc(_balanced_product(left))
-    xl = meter.alloc(x % ml)
-    meter.free(ml)
-    mr = meter.alloc(_balanced_product(right))
-    xr = meter.alloc(x % mr)
-    meter.free(mr)
-    meter.free(x)
-    del x, ml, mr
-    _descend(xl, left, out, base, meter)
-    _descend(xr, right, out, base + mid, meter)
-
-
-def remainder_tree(
-    p: int | Decimal, ms: list[int], meter: MemoryMeter | None = None
-) -> list[int]:
+def remainder_tree(p: int | Decimal, ms: list[int]) -> list[int]:
     """P mod m_i for every i, by batched product/remainder trees.
 
     P >= 0 is an int or an exact integral Decimal (such as
     PrimeProduct.decimal_value); an int is converted on each call.  The
     tree runs in exact decimal arithmetic (see the module docstring) and
     the remainders come back as ints.  The leaves are cut into
-    consecutive batches whose product M stays at or below about
-    bitlen(P)/4 bits (one leaf minimum); each batch costs one reduction
-    P mod M and a tree descent.  Batch boundaries do not change the
-    result.
+    consecutive batches whose product stays at or below about
+    bitlen(P)/4 bits (one leaf minimum).  Each batch builds its product
+    levels once, reduces P by the root, and walks down: a node's
+    remainder is its parent's remainder mod the node.  Batch boundaries
+    do not change the result.
     """
     if any(m < 2 for m in ms):
         raise ValueError("all moduli must be >= 2")
@@ -237,29 +194,16 @@ def remainder_tree(
         raise ValueError("p must be >= 0")
     if not ms:
         return []
-    meter_ = meter if meter is not None else _NULL_METER
     if isinstance(p, int):
         p = to_decimal(p)
-    leaves = [Decimal(m) for m in ms]
-    cap = _batch_cap(p)
-    batches: list[tuple[int, list[Decimal]]] = []
-    start, acc = 0, 0
-    for i, m in enumerate(ms):
-        b = m.bit_length()
-        if i > start and acc + b > cap:
-            batches.append((start, leaves[start:i]))
-            start, acc = i, b
-        else:
-            acc += b
-    batches.append((start, leaves[start:]))
-
-    out = [0] * len(ms)
+    out: list[int] = []
     with decimal.localcontext(_EXACT):
-        for base, batch in batches:
-            m_batch = meter_.alloc(_balanced_product(batch))
-            x0 = meter_.alloc(p % m_batch)
-            meter_.free(m_batch)
-            _descend(x0, batch, out, base, meter_)
+        for batch in _batches(ms, _batch_cap(p)):
+            levels = list(_product_levels([Decimal(m) for m in batch]))
+            rems = [p % levels.pop()[0]]
+            while levels:
+                rems = [rems[i >> 1] % m for i, m in enumerate(levels.pop())]
+            out += map(int, rems)
     return out
 
 

@@ -44,7 +44,7 @@ def test_prove_subject_failure_without_factor_exits_3(bad_poly_cache_level0, cap
     assert run_cli(["prove", "91", "--quiet"]) == 1
 
 
-@pytest.mark.parametrize("factor, rc", [(7, 1), (13, 1), (3, 3), (91, 3), (None, 1)])
+@pytest.mark.parametrize("factor, rc", [(7, 1), (13, 1), (3, 3), (91, 3), (None, 3)])
 def test_prove_rechecks_factor_before_composite(monkeypatch, capsys, factor, rc):
     def composite(n, config):
         raise CompositeDetected("gcd-factor", factor=factor, n=n)
@@ -85,6 +85,16 @@ def test_stats_sample_bad_arguments_exit_2(capsys, argv):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+def test_bench_composite_without_evidence_exits_3(monkeypatch, capsys):
+    def composite(n, config, env):
+        raise CompositeDetected("order-check-failed", n=n)
+
+    monkeypatch.setattr(cli, "prove_with_report", composite)
+    assert run_cli(["bench", "21", "--quiet"]) == 3
+    err = capsys.readouterr().err
+    assert "give-up:" in err and "composite:" not in err
+
+
 def test_bench_give_up_exits_3(capsys, cache_dir):
     # no D in {-3, -4, -7, -8, -11} splits for the first prime after 10^44
     rc = run_cli([
@@ -97,6 +107,12 @@ def test_bench_give_up_exits_3(capsys, cache_dir):
 
 def test_prove_bad_expression_exits_2():
     assert run_cli(["prove", "not a number", "--quiet"]) == 2
+
+
+@pytest.mark.parametrize("expr", ["10^10^10", "2^(2^21)", "10^-5", "__import__('os')"])
+def test_prove_unbounded_or_foreign_expression_exits_2(capsys, expr):
+    assert run_cli(["prove", expr, "--quiet"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_prove_verify_cycle(tmp_path, cache_dir, capsys):
