@@ -1,7 +1,8 @@
 """Command-line interface: prove, verify, stats, bench.
 
 Exit codes: 0 success, 1 mathematical reject (composite input with a
-witness, or certificate rejection), 2 I/O or parse errors, 3 give-up.
+witness, or certificate rejection), 2 I/O, parse or argument errors
+(including a search option out of range or a number below 2), 3 give-up.
 """
 
 import argparse
@@ -76,7 +77,8 @@ def _evidence_holds(exc: CompositeDetected, n: int) -> bool:
 
 
 def _config_from_args(args) -> ProveConfig:
-    return ProveConfig(
+    """The search options as a ProveConfig; ValueError if one is out of range."""
+    config = ProveConfig(
         seed=args.seed,
         b_bits=args.b_bits,
         dmax_cap=args.dmax,
@@ -87,15 +89,19 @@ def _config_from_args(args) -> ProveConfig:
         cache_dir=args.cache_dir,
         verbose=not args.quiet,
     )
+    config.validate()
+    return config
 
 
 def cmd_prove(args) -> int:
     try:
+        config = _config_from_args(args)
         n = parse_number(args.number)
+        if n < 2:
+            raise ValueError(f"{n} is below 2")
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    config = _config_from_args(args)
     try:
         certificate, report = prove_with_report(n, config)
     except CompositeDetected as exc:
@@ -138,7 +144,7 @@ def cmd_verify(args) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except CertificateFormatError as exc:
+    except (CertificateFormatError, UnicodeDecodeError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_IO
     wall = time.perf_counter() - t0
@@ -186,8 +192,12 @@ def cmd_stats(args) -> int:
 
 def cmd_bench(args) -> int:
     digits = args.digits
+    try:
+        config = _config_from_args(args)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_IO
     print(f"{'digits':>7} {'log2B':>6} {'#steps':>7} {'time_s':>9} {'gain/log2B':>11}")
-    config = _config_from_args(args)
     env = Environment(config)
     for nd in digits:
         if nd > args.max_digits:

@@ -60,7 +60,6 @@ class ProveConfig:
             raise ValueError("hmax, maxparts and round_cap must be >= 1")
 
 
-_RANGE_WIDTH = 1 << 24   # primes per product range
 _MR_ROUNDS = 64
 _POINT_TRIES = 8         # random points per twist
 
@@ -286,14 +285,14 @@ class Environment:
         return self.table
 
     def ensure_products(self, b: int) -> list[trialdiv.PrimeProduct]:
-        """Prime products over (1, b] in ranges of `_RANGE_WIDTH`.
+        """Prime products over (1, b] in ranges of `trialdiv.RANGE_WIDTH`.
 
         Payload: the product's little-endian magnitude bytes.
         """
         if not self.products or self.products[-1].b_hi != b:
             self.products = []
-            for lo in range(1, b, _RANGE_WIDTH):
-                hi = min(lo + _RANGE_WIDTH, b)
+            for lo in range(1, b, trialdiv.RANGE_WIDTH):
+                hi = min(lo + trialdiv.RANGE_WIDTH, b)
                 key = f"prime_product_{lo}_{hi}"
                 raw = _cache_load(self.config.cache_dir, key)
                 if raw is not None:

@@ -173,6 +173,9 @@ def sample(
     bucket up by a visible finite-size bias.  Draws are seeded per
     fixed-size chunk and each Miller-Rabin test per sample index.
     `workers` is accepted for compatibility and ignored.
+    B lies in [2^10, 2^24], 2^24 being the widest single prime product
+    the program builds (`trialdiv.RANGE_WIDTH`); `env_products`, when
+    given, must end at B (`batch_factor` checks the start and the gaps).
 
     The Miller-Rabin round count depends on the bit length k of the
     cofactor N' (`_mr_rounds`), and the chance that any one sample keeps a
@@ -202,10 +205,14 @@ def sample(
     """
     if b < 1 << 10:
         raise ValueError("b must be at least 2**10")
+    if b > trialdiv.RANGE_WIDTH:
+        raise ValueError("b must be at most 2**24, the widest prime product built")
     if bits < 64:
         raise ValueError("bits must be at least 64")
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
+    if env_products and max(pp.b_hi for pp in env_products) != b:
+        raise ValueError("env_products must end at b")
     products = env_products or [trialdiv.prime_product(1, b)]
 
     ms: list[int] = []

@@ -137,6 +137,10 @@ class PrimeProduct:
         return to_decimal(self.value)
 
 
+# Widest prime range (b_lo, b_hi] of one product the program builds.
+RANGE_WIDTH = 1 << 24
+
+
 def prime_product(b_lo: int, b_hi: int) -> PrimeProduct:
     """Exact product of the primes in (b_lo, b_hi]; 1 for an empty range.
 

@@ -78,6 +78,7 @@ def test_prove_rechecks_base_before_composite(monkeypatch, capsys, base, rc):
 
 @pytest.mark.parametrize("argv", [
     ["--b-bits", "5"], ["--b-bits", "-1"], ["--bits", "32"], ["--samples", "0"],
+    ["--b-bits", "25"], ["--b-bits", "41"],
 ])
 def test_stats_sample_bad_arguments_exit_2(capsys, argv):
     assert run_cli(["stats", "--sample", *argv]) == 2
@@ -103,6 +104,23 @@ def test_bench_give_up_exits_3(capsys, cache_dir):
     ])
     assert rc == 3
     assert "give-up" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["prove", "97", "--b-bits", "5"],
+    ["prove", "97", "--dmax", "8"],
+    ["prove", "97", "--rounds", "0"],
+    ["prove", "97", "--hmax", "0"],
+    ["prove", "97", "--maxparts", "0"],
+    ["prove", "1"],
+    ["prove", "0"],
+    ["bench", "20", "--b-bits", "5"],
+])
+def test_bad_search_option_or_small_number_exits_2(capsys, argv):
+    assert run_cli([*argv, "--quiet"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+    assert captured.out == ""
 
 
 def test_prove_bad_expression_exits_2():
@@ -149,6 +167,15 @@ def test_verify_missing_and_garbled_files(tmp_path, capsys):
     assert run_cli(["verify", path]) == 2
     err = capsys.readouterr().err
     assert "parse error" in err and "line 1" in err
+
+
+def test_verify_non_ascii_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "binary.txt"
+    path.write_bytes(b"fastecpp certificate\n\xff\n")
+    assert run_cli(["verify", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("parse error: ") and "Traceback" not in captured.err
+    assert "REJECT" not in captured.out
 
 
 def test_stats_command(capsys, tmp_path):

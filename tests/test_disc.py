@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import random
@@ -71,6 +72,41 @@ def test_table_only_stores_fundamental(table2000):
     for d in range(-1, -501, -1):
         if d % 4 in (0, 1):
             assert (table2000.class_number(d) > 0) == fundamental_oracle(d), d
+
+
+def strided_count_forms(dmax: int) -> np.ndarray:
+    """Reduced-form counts per |D| <= dmax, one strided add per (a, b).
+
+    Enumerates 0 <= b <= a <= c; b > 0 with b < a and a < c stands for the
+    pair (a, +/-b, c), everything else for a single form.
+    """
+    counts = np.zeros(dmax + 1, dtype=np.int32)
+    for a in range(1, math.isqrt(dmax // 3) + 1):
+        fa = 4 * a
+        for b in range(0, a + 1):
+            start = fa * a - b * b  # c = a
+            if start > dmax:
+                continue
+            if 0 < b < a:
+                counts[start::fa] += 2
+                counts[start] -= 1  # a = c admits only b >= 0
+            else:
+                counts[start::fa] += 1
+    return counts
+
+
+@pytest.mark.parametrize("dmax", [*range(4, 131), 2000, (1 << 16) + 3])
+def test_count_forms_matches_strided_oracle(dmax):
+    got = disc._count_forms(dmax)
+    assert got.dtype == np.int32
+    assert np.array_equal(got, strided_count_forms(dmax))
+
+
+def test_table_2_20_digest(env):
+    table = disc.class_number_table(1 << 20)
+    digest = hashlib.sha256(table._h.astype("<i4").tobytes()).hexdigest()
+    assert digest == "b3020a69e3592355ca12f85ae602ebea7af7bf6d18409d3ef4d767c9e10fc217"
+    assert np.array_equal(table._h, env.table._h)
 
 
 def test_table_rejects_tiny_dmax():

@@ -92,6 +92,8 @@ def test_sample_validations():
         stats.sample(32, 1 << 10, 10)
     with pytest.raises(ValueError):
         stats.sample(64, 1 << 10, 0)
+    with pytest.raises(ValueError):
+        stats.sample(64, (1 << 24) + 1, 10)  # refused before the sieve is built
 
 
 def test_sample_worker_invariance():
@@ -105,6 +107,11 @@ def test_sample_worker_invariance():
 def test_sample_uses_supplied_products(product_2_20):
     report = stats.sample(64, 1 << 20, 500, seed=2, env_products=[product_2_20])
     assert report.n_total == 500
+
+
+def test_sample_refuses_products_that_do_not_end_at_b(product_2_20):
+    with pytest.raises(ValueError, match="end at b"):
+        stats.sample(64, 1 << 16, 10, env_products=[product_2_20])
 
 
 def _dlp_bound(mp, k: int, t: int):
