@@ -194,15 +194,15 @@ def cmd_bench(args) -> int:
     digits = args.digits
     try:
         config = _config_from_args(args)
+        for nd in digits:  # every count before the first prove
+            if not 1 <= nd <= args.max_digits:
+                raise ValueError(f"{nd} digits is outside 1..{args.max_digits}")
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     print(f"{'digits':>7} {'log2B':>6} {'#steps':>7} {'time_s':>9} {'gain/log2B':>11}")
     env = Environment(config)
     for nd in digits:
-        if nd > args.max_digits:
-            print(f"error: {nd} digits exceeds the cap {args.max_digits}", file=sys.stderr)
-            return EXIT_IO
         n = first_probable_prime_after(10 ** nd)
         t0 = time.perf_counter()
         try:

@@ -1,15 +1,16 @@
 """Hilbert class polynomials and their roots modulo N.
 
 The class polynomial of a fundamental discriminant D is built from
-complex approximations: j is evaluated at the CM point of every reduced
-form via theta constants, conjugate pairs are combined into real
-quadratic factors, and the expanded coefficients are rounded to integers
-with an explicit residual check and precision-doubling retry.
+complex approximations of gamma2 = j^(1/3), from Dedekind eta at the CM
+point of every reduced form; conjugate pairs give real quadratic factors,
+and the expanded coefficients are rounded with a residual check and a
+precision-doubling retry.  For 3 not dividing D that is the polynomial of
+gamma2, at a third of the precision, and H_D follows from it exactly; for
+3 | D it is H_D, from j = gamma2^3.
 """
 
 import math
 import random
-import threading
 from dataclasses import dataclass
 
 import mpmath
@@ -18,8 +19,6 @@ from .errors import CompositeDetected, PrecisionError
 from .numth import checked_inverse
 
 _MAX_PRECISION_RETRIES = 4
-
-_eval_lock = threading.Lock()  # mpmath precision state is global
 
 
 @dataclass(frozen=True)
@@ -37,7 +36,8 @@ class ClassPolynomial:
 
     `coeffs` is ascending (coeffs[-1] == 1, degree == class number).
     `residual` records the worst rounding distance of the first
-    evaluation attempt, as a precision-adequacy diagnostic.
+    evaluation attempt, and `precision_bits` its precision, for the
+    polynomial evaluated: W where 3 does not divide d.
     """
 
     d: int
@@ -78,91 +78,151 @@ def reduced_forms(d: int) -> list[ReducedForm]:
     return forms
 
 
-def _pow8(t):
-    t = t * t
-    t = t * t
-    return t * t
+def _cmul(x: tuple[int, int], y: tuple[int, int], wp: int) -> tuple[int, int]:
+    """Product of complex (re, im) with wp fraction bits, by three products."""
+    (a, b), (c, d) = x, y
+    k = c * (a + b)
+    return (k - b * (c + d)) >> wp, (k + a * (d - c)) >> wp
 
 
-def _j_from_theta(q) -> "mpmath.mpc":
-    """Klein j from the three theta constants at nome q = exp(pi*i*tau).
+def _cdiv(x: tuple[int, int], y: tuple[int, int], wp: int) -> tuple[int, int]:
+    n = y[0] * y[0] + y[1] * y[1]
+    return ((x[0] * y[0] + x[1] * y[1]) << wp) // n, ((x[1] * y[0] - x[0] * y[1]) << wp) // n
 
-    j = 32 (h2 + h3 + h4)^3 / (h2 h3 h4) with hk = theta_k^8.  The powers
-    are plain products (three squarings for each eighth power, s * s * s
-    for the cube): mpmath's complex `**` goes through log and exp.
+
+def _fixed(z, wp: int) -> tuple[int, int]:
+    return int(mpmath.ldexp(z.real, wp)), int(mpmath.ldexp(z.imag, wp))
+
+
+def _euler_product(x: tuple[int, int], bits: float, wp: int) -> tuple[int, int]:
+    """prod(1 - x^n), n >= 1, by Euler's pentagonal series, the sum of
+    (-1)^k x^(k(3k-1)/2) over all integers k, up to |x|^e < 2^-wp for
+    |x| = 2^-bits.  From k to k + 1 the terms of exponents k(3k -/+ 1)/2
+    gain the ratios -x^(3k+1) and -x^(3k+2), updated by x^3."""
+    neg = (-x[0], -x[1])
+    step1, step2 = neg, _cmul(x, neg, wp)
+    x3 = _cmul(step2, neg, wp)
+    t1 = t2 = total = (1 << wp, 0)
+    for _ in range(int((1 + math.sqrt(1 + 24 * wp / bits)) / 6)):  # k(3k-1)/2 * bits <= wp
+        t1, t2 = _cmul(t1, step1, wp), _cmul(t2, step2, wp)
+        total = (total[0] + t1[0] + t2[0], total[1] + t1[1] + t2[1])
+        step1, step2 = _cmul(step1, x3, wp), _cmul(step2, x3, wp)
+    return total
+
+
+def _gamma2(sqrt_ad, f: ReducedForm, e: int, wp: int) -> tuple[int, int]:
+    """zeta3^e * gamma2(tau) at tau = (-b + sqrt(D)) / (2a), f = [a, b, c].
+
+    gamma2 = (f1^24 + 16) / f1^8 for Weber's f1(tau) = eta(tau/2) / eta(tau).
+    For r = exp(pi i tau) and u = prod(1 - r^n) / prod(1 - r^(2n)) this is
+    r^(-2/3) (u^24 + 16 r) / u^8, where r^(-2/3) zeta3^e has modulus
+    exp(pi sqrt|D| / 3a) and angle pi (b + 2ae) / 3a.
     """
-    h2, h3, h4 = (_pow8(mpmath.jtheta(k, 0, q)) for k in (2, 3, 4))
-    s = h2 + h3 + h4
-    return 32 * (s * s * s) / (h2 * h3 * h4)
+    t = mpmath.pi * sqrt_ad / f.a
+    r = _fixed(mpmath.exp(mpmath.mpc(-t / 2, -mpmath.pi * f.b / (2 * f.a))), wp)
+    bits = float(t) / (2 * math.log(2))
+    u8 = _cdiv(_euler_product(r, bits, wp), _euler_product(_cmul(r, r, wp), 2 * bits, wp), wp)
+    for _ in range(3):
+        u8 = _cmul(u8, u8, wp)
+    u24 = _cmul(_cmul(u8, u8, wp), u8, wp)
+    scale = mpmath.exp(mpmath.mpc(t / 3, mpmath.pi * (f.b + 2 * f.a * e) / (3 * f.a)))
+    return _cmul(_fixed(scale, wp), _cdiv((u24[0] + 16 * r[0], u24[1] + 16 * r[1]), u8, wp), wp)
 
 
-def precision_for(d: int, forms: list[ReducedForm]) -> int:
-    """First-attempt bit precision for the coefficient reconstruction.
+def _zeta_exponent(f: ReducedForm) -> int:
+    """e such that zeta3^e gamma2(tau_f) is gamma2 at an equivalent form
+    [A, B, C] with 3 | B and 3 not dividing A: tau + 1 maps [a, b, c] to
+    [a, b - 2a, a - b + c] and multiplies gamma2 by zeta3^-1; -1/tau maps it
+    to [c, -b, a].  If 3 | a and 3 | c, tau + 1 first makes c prime to 3."""
+    a, b, c, e = f.a, f.b, f.c, 0
+    if a % 3 == 0 and c % 3 == 0:
+        b, c, e = b - 2 * a, a - b + c, -1
+    if a % 3 == 0:
+        a, b = c, -b
+    return (e - 2 * a * b) % 3  # tau + k with 2ak = b (mod 3) makes 3 | B
 
-    pi * sqrt(|D|) * sum(1/a) / ln 2 bounds the coefficient sizes; the
-    10h + 64 guard absorbs accumulation during the polynomial expansion.
+
+def precision_for(d: int, forms: list[ReducedForm], cube_roots: bool = False) -> int:
+    """First-attempt bit precision for H_D, or for W if cube_roots.
+
+    pi sqrt|D| sum(1/a) / ln 2 bounds the coefficient sizes of H_D, and a
+    third of it those of W.  The guard absorbs accumulation in the
+    expansion: 10h + 64 bits for H_D, h + 32 for W.
     """
-    inv_a = math.fsum(1.0 / f.a for f in forms)
+    height = math.pi * math.sqrt(-d) * math.fsum(1.0 / f.a for f in forms) / math.log(2)
     h = len(forms)
-    return math.ceil(math.pi * math.sqrt(-d) * inv_a / math.log(2)) + 10 * h + 64
+    return math.ceil(height / 3) + h + 32 if cube_roots else math.ceil(height) + 10 * h + 64
 
 
-def _expand(d: int, forms: list[ReducedForm], wp: int) -> tuple[list[int], float]:
-    """Evaluate all j values at precision wp and expand the product."""
+def _expand(d: int, forms: list[ReducedForm], wp: int, cube_roots: bool) -> tuple[list[int], float]:
+    """Round prod(x - v_Q) over the forms Q, evaluated with wp fraction bits.
+
+    v_Q is zeta3^e gamma2(tau_Q) (the polynomial W, for 3 not dividing D)
+    if cube_roots, else j(tau_Q) = gamma2(tau_Q)^3 (H_D itself).
+    """
+    one = 1 << wp
     with mpmath.workprec(wp):
         sqrt_ad = mpmath.sqrt(-d)
         # real linear factors for self-conjugate forms, real quadratics
-        # for +/-b pairs (the pair members have conjugate j values)
-        poly = [mpmath.mpf(1)]
+        # for +/-b pairs (the pair members have conjugate values)
+        poly = [one]
         for f in forms:
             if f.b < 0:
                 continue
-            mag = mpmath.exp(-mpmath.pi * sqrt_ad / (2 * f.a))
-            ang = mpmath.pi * f.b / (2 * f.a)
-            q = mag * mpmath.mpc(mpmath.cos(ang), -mpmath.sin(ang))
-            j = _j_from_theta(q)
-            if f.b == 0 or f.b == f.a or f.a == f.c:
-                poly = _rmul(poly, [-j.real, mpmath.mpf(1)])
-            else:
-                poly = _rmul(poly, [abs(j) ** 2, -2 * j.real, mpmath.mpf(1)])
-        coeffs = []
-        residual = 0.0
-        for cval in poly:
-            r = mpmath.nint(cval)
-            residual = max(residual, float(abs(cval - r)))
-            coeffs.append(int(r))
+            v = _gamma2(sqrt_ad, f, _zeta_exponent(f) if cube_roots else 0, wp)
+            if not cube_roots:
+                v = _cmul(_cmul(v, v, wp), v, wp)
+            pair = 0 < f.b < f.a < f.c
+            factor = [(v[0] * v[0] + v[1] * v[1]) >> wp, -2 * v[0], one] if pair else [-v[0], one]
+            poly = [c >> wp for c in _rmul(poly, factor)]
+    coeffs = [(c + (one >> 1)) >> wp for c in poly]
+    residual = max(abs(c - (r << wp)) / one for c, r in zip(poly, coeffs))
     return coeffs, residual
 
 
 def _rmul(u: list, v: list) -> list:
-    out = [mpmath.mpf(0)] * (len(u) + len(v) - 1)
+    out = [0] * (len(u) + len(v) - 1)
     for i, ui in enumerate(u):
         for k, vk in enumerate(v):
             out[i + k] += ui * vk
     return out
 
 
+def _cube_norm(w: list[int]) -> list[int]:
+    """H with H(x^3) = W(x) W(zeta3 x) W(zeta3^2 x), in exact integers:
+    for W = A(x^3) + x B(x^3) + x^2 C(x^3), H(y) = A^3 + y B^3 + y^2 C^3 - 3y ABC."""
+    a, b, c = w[0::3], w[1::3], w[2::3]
+    out = [0] * len(w)
+    for shift, p in ((0, _rmul(_rmul(a, a), a)), (1, _rmul(_rmul(b, b), b)),
+                     (2, _rmul(_rmul(c, c), c)), (1, [-3 * x for x in _rmul(_rmul(a, b), c)])):
+        for i, x in enumerate(p):
+            out[i + shift] += x
+    return out
+
+
 def hilbert_class_poly(d: int) -> ClassPolynomial:
     """Hilbert class polynomial of the fundamental discriminant d.
 
-    Monic of degree h(d), integral coefficients.  Retries at doubled
-    precision whenever any coefficient sits further than 1/4 from an
-    integer; exceeding the retry cap raises PrecisionError.
+    Monic of degree h(d), integral coefficients.  For 3 not dividing d,
+    gamma2 = j^(1/3) is a class invariant (Enge & Morain, ANTS 2002): its
+    class polynomial W, of a third of the height of H_D, is evaluated at a
+    third of the precision, and H_D follows exactly by `_cube_norm`.  For
+    3 | d, H_D is evaluated from j = gamma2^3.  A coefficient further than
+    1/4 from an integer means a retry at doubled precision; exceeding the
+    retry cap raises PrecisionError.
     """
     forms = reduced_forms(d)
     if not forms:
         raise ValueError(f"{d} is not a valid discriminant")
-    prec = precision_for(d, forms)
-    first_residual = None
-    with _eval_lock:
-        wp = prec + 32 + len(forms).bit_length()
-        for _ in range(_MAX_PRECISION_RETRIES + 1):
-            coeffs, residual = _expand(d, forms, wp)
-            if first_residual is None:
-                first_residual = residual
-            if residual < 0.25:
-                return ClassPolynomial(d, coeffs, first_residual, prec)
-            wp *= 2
+    cube_roots = d % 3 != 0
+    prec = precision_for(d, forms, cube_roots)
+    wp = prec + 32 + len(forms).bit_length()
+    residuals = []
+    for attempt in range(_MAX_PRECISION_RETRIES + 1):
+        coeffs, residual = _expand(d, forms, wp << attempt, cube_roots)
+        residuals.append(residual)
+        if residual < 0.25:
+            return ClassPolynomial(d, _cube_norm(coeffs) if cube_roots else coeffs, residuals[0], prec)
     raise PrecisionError(f"class polynomial for D={d} did not stabilise")
 
 

@@ -216,3 +216,15 @@ def test_bench_single_row(capsys, cache_dir):
 
 def test_bench_respects_digit_cap(capsys):
     assert run_cli(["bench", "1200", "--quiet"]) == 2
+
+
+@pytest.mark.parametrize("digits", [["30", "1200"], ["--", "-3"], ["0"], ["20", "--", "-1"]])
+def test_bench_checks_every_digit_count_before_proving(monkeypatch, capsys, digits):
+    def never(n, config, env):
+        raise AssertionError("proved before the digit counts were checked")
+
+    monkeypatch.setattr(cli, "prove_with_report", never)
+    assert run_cli(["bench", "--quiet", *digits]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+    assert captured.out == ""

@@ -7,7 +7,7 @@ import mpmath
 import pytest
 
 from fastecpp import cert, cm, prover
-from fastecpp.errors import CompositeDetected
+from fastecpp.errors import CompositeDetected, PrecisionError
 from fastecpp.numth import cornacchia, is_probable_prime, jacobi, sqrt_mod
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
@@ -143,8 +143,9 @@ def test_class_poly_cache_rejects_damaged_files(tmp_path, table2000):
 
 
 # SHA-256 of the decimal coefficients joined by spaces, for every D of the
-# pinned certificates and one h = 64 discriminant; recorded from the
-# evaluation with mpmath's complex powers (t**8, s**3) in _j_from_theta.
+# pinned certificates, one h = 64 discriminant and the 12 D of the chain of
+# the first prime after 10^200; all were recorded from the evaluation of j
+# by theta constants, before H_D was recovered from gamma2.
 CLASS_POLY_DIGESTS = {
     -1235: "a1b108b77615a15c2ed081dae3e221207f60a8204a646da0b2c210ab69823164",
     -87235: "d33ca40ffbe1b750bc9fbb82755bd82383b8444f6e53d842b96ab38e9593ad38",
@@ -156,7 +157,23 @@ CLASS_POLY_DIGESTS = {
     -76867: "06bc921515cba1e26cb14135dbb9ff4616fffbd439759887855fd240b68dcda6",
     -39: "13cf821aa98ef9c53e0d19672481609b517fa2e03192fe9ebf8de82238ce2100",
     -24932: "52e3c030fd84a98b23440adff983b0f40801121e267dec27d2950764488e0a32",
+    -427: "9a217957bbb1ccfff7eaf2951889c748087adb78c53717d89126982a35782996",
+    -151: "8a064b3b8e9f29960a26aea9e1b94011a8bd7bb9786a2a71916a27c61436553b",
+    -4504: "4b2b60ce064d3283a0d74dfb622b98f2b50dc4db00ed2bfcf1ee4505bf6f9171",
+    -64168: "4c623ffab6b4c753e96a756b9004823d73f188d431d59531355e23ca8cd925b9",
+    -50611: "720e422b41c118c0c7d36347d6345c8147586300144a3ea8f35eb9fb7b85b42a",
+    -57619: "8a6fdbe90d2ce9434a902308a27f3e96fed6cefa00c58979fd5c1590f69436e2",
+    -3143: "a8de6f6fc953937764e0a586f8e8ee4691020c7ed42504154e7c2489a99d03f9",
+    -10643: "2e21894f596e1864a169ff59001cf9ba55144f55f3e1bf57f6138b1e69ca7cec",
+    -4811: "68d314c33d66b678320708433e34b3c6978b24f51d87088f43895002dce7a8c3",
+    -25828: "ec4437e4fbd85d76f0d05cd3f64f29bcf80a2c8b4b144685c08ff1c85849a5b0",
+    -7: "7f6c40bee8bc3be7f6ee2c9cff870ea6c8ad006d56d8d6e34427d2c8f8a2b859",
+    -532: "6351427cfb5828cd489f544eccd56320bb10e624e88ed33a2d4a2dce7ff7e420",
 }
+
+
+def _digest(coeffs: list[int]) -> str:
+    return hashlib.sha256(" ".join(map(str, coeffs)).encode()).hexdigest()
 
 
 def test_class_poly_digests():
@@ -166,17 +183,88 @@ def test_class_poly_digests():
             pinned.update(step.d for step in cert.parse(f.read()).steps)
     assert pinned < set(CLASS_POLY_DIGESTS)
     for d, digest in CLASS_POLY_DIGESTS.items():
-        coeffs = cm.hilbert_class_poly(d).coeffs
-        assert hashlib.sha256(" ".join(map(str, coeffs)).encode()).hexdigest() == digest, d
+        assert _digest(cm.hilbert_class_poly(d).coeffs) == digest, d
 
 
-def test_precision_formula_covers_coefficients(table2000):
-    """First-attempt precision must dominate the coefficient sizes."""
-    for d in (-23, -71, -479, -1991):
+def _spy_expand(monkeypatch, result=None):
+    """Record every (wp, coefficients) that cm._expand rounds; `result`,
+    if given, replaces what an attempt returns: result(attempt, coeffs,
+    residual) -> (coeffs, residual)."""
+    real, attempts = cm._expand, []
+
+    def spy(d, forms, wp, cube_roots):
+        coeffs, residual = real(d, forms, wp, cube_roots)
+        attempts.append((wp, coeffs))
+        return result(len(attempts), coeffs, residual) if result else (coeffs, residual)
+
+    monkeypatch.setattr(cm, "_expand", spy)
+    return attempts
+
+
+def test_precision_formula_covers_coefficients(monkeypatch):
+    """First-attempt precision must dominate the coefficient sizes of the
+    polynomial actually evaluated: W for 3 not dividing D, H_D for 3 | D."""
+    attempts = _spy_expand(monkeypatch)
+    for d in (-23, -71, -479, -1991, -15, -39, -771, -1155):
+        attempts.clear()
         poly = cm.hilbert_class_poly(d)
-        maxbits = max(abs(c).bit_length() for c in poly.coeffs)
-        assert poly.precision_bits >= maxbits
+        assert len(attempts) == 1
+        evaluated = attempts[0][1]
+        assert (evaluated == poly.coeffs) == (d % 3 == 0), d
+        maxbits = max(abs(c).bit_length() for c in evaluated)
+        assert poly.precision_bits >= maxbits, d
         assert poly.residual < 1e-6
+
+
+def test_gamma2_path_matches_j_path(discs2000):
+    """For every fundamental D prime to 3 with |D| <= 2000, H_D recovered
+    from gamma2 equals H_D evaluated from j at full precision."""
+    checked = 0
+    for d, h in discs2000:
+        if d % 3 == 0:
+            continue
+        forms = cm.reduced_forms(d)
+        wp = cm.precision_for(d, forms) + 32 + h.bit_length()
+        coeffs, residual = cm._expand(d, forms, wp, False)
+        assert residual < 1e-6, d
+        poly = cm.hilbert_class_poly(d)
+        assert poly.coeffs == coeffs, d
+        assert poly.residual < 1e-6, d
+        checked += 1
+    assert checked > 400
+
+
+@pytest.mark.parametrize("d", [-20708, -10643])
+def test_gamma2_forms_with_3_dividing_a_and_c(d):
+    """These D are prime to 3 but have reduced forms with 3 | a and 3 | c,
+    whose gamma2 conjugate needs tau + 1 before -1/tau."""
+    assert d % 3 != 0
+    assert any(f.a % 3 == 0 and f.c % 3 == 0 for f in cm.reduced_forms(d))
+    assert _digest(cm.hilbert_class_poly(d).coeffs) == CLASS_POLY_DIGESTS[d]
+
+
+@pytest.mark.parametrize("d", [-6532, -2712])
+def test_precision_retry_after_a_bad_first_attempt(monkeypatch, d):
+    """A first attempt with residual >= 1/4 (and wrong coefficients) is
+    retried at doubled precision, for W (3 not dividing -6532) and for
+    H_D (3 | -2712)."""
+    def first_off(attempt, coeffs, residual):
+        return ([c + 1 for c in coeffs], 0.3) if attempt == 1 else (coeffs, residual)
+
+    attempts = _spy_expand(monkeypatch, first_off)
+    poly = cm.hilbert_class_poly(d)
+    assert [wp for wp, _ in attempts] == [attempts[0][0], 2 * attempts[0][0]]
+    assert poly.residual == 0.3
+    assert _digest(poly.coeffs) == CLASS_POLY_DIGESTS[d]
+
+
+@pytest.mark.parametrize("d", [-151, -39])
+def test_precision_retry_cap_raises(monkeypatch, d):
+    attempts = _spy_expand(monkeypatch, lambda attempt, coeffs, residual: (coeffs, 0.25))
+    with pytest.raises(PrecisionError):
+        cm.hilbert_class_poly(d)
+    wp = attempts[0][0]
+    assert [w for w, _ in attempts] == [wp << i for i in range(cm._MAX_PRECISION_RETRIES + 1)]
 
 
 # ---------------------------------------------------------------------------
