@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 mathematical reject (composite input with a
 witness, or certificate rejection), 2 I/O, parse or argument errors
-(including a search option out of range or a number below 2), 3 give-up.
+(including a search option out of range, a number below 2 or an unusable
+cache directory), 3 give-up (including an internal error of the prover).
 """
 
 import argparse
@@ -13,7 +14,7 @@ import sys
 import time
 
 from . import stats as stats_mod
-from .cert import serialize, verify, verify_file
+from .cert import serialize, verify_file
 from .errors import CertificateFormatError, CompositeDetected, GiveUp
 from .numth import is_strong_witness
 from .prover import Environment, ProveConfig, first_probable_prime_after, prove_with_report
@@ -93,6 +94,26 @@ def _config_from_args(args) -> ProveConfig:
     return config
 
 
+def _prove_or_exit(label: str, n: int, config: ProveConfig, *env):
+    """(certificate, report) for n, or the exit code after printing why
+    there is none; `label` names n in the messages, and an Environment in
+    `env` is shared with earlier proves."""
+    try:
+        return prove_with_report(n, config, *env)
+    except CompositeDetected as exc:
+        if _evidence_holds(exc, n):
+            print(f"composite: {label}\nevidence: {exc}", file=sys.stderr)
+            return EXIT_REJECT
+        print(f"give-up: {exc}: no factor or base that re-checks for {label}", file=sys.stderr)
+        return EXIT_GIVEUP
+    except (GiveUp, RuntimeError) as exc:  # a PrecisionError or a failed self-verify
+        print(f"give-up: {label}: {exc}", file=sys.stderr)
+        return EXIT_GIVEUP
+    except OSError as exc:  # the cache directory
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_IO
+
+
 def cmd_prove(args) -> int:
     try:
         config = _config_from_args(args)
@@ -102,18 +123,10 @@ def cmd_prove(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    try:
-        certificate, report = prove_with_report(n, config)
-    except CompositeDetected as exc:
-        if not _evidence_holds(exc, n):
-            print(f"give-up: {exc}: no factor or base that re-checks for {n}", file=sys.stderr)
-            return EXIT_GIVEUP
-        print(f"composite: {n}", file=sys.stderr)
-        print(f"evidence: {exc}", file=sys.stderr)
-        return EXIT_REJECT
-    except GiveUp as exc:
-        print(f"give-up: {exc}", file=sys.stderr)
-        return EXIT_GIVEUP
+    result = _prove_or_exit(str(n), n, config)
+    if isinstance(result, int):
+        return result
+    certificate, report = result
     text = serialize(certificate)
     if args.cert:
         try:
@@ -204,28 +217,14 @@ def cmd_bench(args) -> int:
     env = Environment(config)
     for nd in digits:
         n = first_probable_prime_after(10 ** nd)
-        t0 = time.perf_counter()
-        try:
-            certificate, report = prove_with_report(n, config, env)
-        except CompositeDetected as exc:
-            if not _evidence_holds(exc, n):
-                print(f"give-up: {exc}: no factor or base that re-checks for "
-                      f"the first prime after 10^{nd}", file=sys.stderr)
-                return EXIT_GIVEUP
-            print(f"composite: first probable prime after 10^{nd}: {exc}", file=sys.stderr)
-            return EXIT_REJECT
-        except GiveUp as exc:
-            print(f"give-up proving first prime after 10^{nd}: {exc}", file=sys.stderr)
-            return EXIT_GIVEUP
-        wall = time.perf_counter() - t0
-        result = verify(certificate)
-        if not result:
-            print(f"error: produced certificate failed verification", file=sys.stderr)
-            return EXIT_REJECT
+        result = _prove_or_exit(f"the first probable prime after 10^{nd}", n, config, env)
+        if isinstance(result, int):
+            return result
+        certificate, report = result
         gains = report.bit_gains()
         ratio = (sum(gains) / len(gains) / args.b_bits) if gains else float("nan")
         print(f"{nd:>7} {args.b_bits:>6} {len(certificate.steps):>7} "
-              f"{wall:>9.2f} {ratio:>11.2f}")
+              f"{report.wall_seconds:>9.2f} {ratio:>11.2f}")
     return EXIT_OK
 
 

@@ -17,17 +17,6 @@ from .numth import jacobi
 from . import trialdiv
 
 
-@dataclass(frozen=True, order=True)
-class SignedPrime:
-    """A prime discriminant factor: -4, 8, -8, or +/-q for odd prime q.
-
-    qstar = q for q = 1 (mod 4) and -q for q = 3 (mod 4), so qstar is
-    always 0 or 1 mod 4.
-    """
-
-    qstar: int
-
-
 @dataclass
 class Disc:
     """One pool entry: a fundamental discriminant with class data.
@@ -181,8 +170,12 @@ def class_number_table(dmax: int) -> ClassNumberTable:
     return ClassNumberTable(dmax, counts)
 
 
-def signed_prime_stream(n: int) -> Iterator[SignedPrime]:
+def signed_prime_stream(n: int) -> Iterator[int]:
     """Signed primes q* with (q*|n) = +1, by increasing |q*|.
+
+    A signed prime is a prime discriminant factor: -4, 8, -8, or q* = q
+    for an odd prime q = 1 (mod 4) and -q for q = 3 (mod 4), so q* is
+    always 0 or 1 mod 4.
 
     Ties at |q*| = 8 are broken as -8 before 8.  A q* with (q*|n) = 0 and
     gcd giving a proper divisor of n raises CompositeDetected.
@@ -202,7 +195,7 @@ def signed_prime_stream(n: int) -> Iterator[SignedPrime]:
             for qs in qstars:
                 j = jacobi(qs, n)
                 if j == 1:
-                    yield SignedPrime(qs)
+                    yield qs
                 elif j == 0:
                     g = math.gcd(abs(qs), n)
                     if 1 < g < n:

@@ -8,6 +8,7 @@ Miller-Rabin in ascending N'.  Every random choice is seeded from the
 master seed, so a certificate depends only on (n, config).
 """
 
+import contextlib
 import hashlib
 import math
 import os
@@ -105,7 +106,13 @@ class StepStats:
 
 @dataclass
 class RunReport:
-    """Aggregated counters and per-substep timing shares for one proof."""
+    """The one recorder of a proof: step counters, substep times, progress.
+
+    `substep_seconds` sums the `timed` blocks by name: `roots`,
+    `cornacchia`, `trialdiv`, `mr`, `classpoly`, `rootmod`, `point`, and
+    `setup` (tables), `subject` (the test of n) and `verify` (the
+    self-check), which together cover nearly all of `wall_seconds`.
+    """
 
     n: int = 0
     bits: int = 0
@@ -114,9 +121,30 @@ class RunReport:
     wall_seconds: float = 0.0
     substep_seconds: dict = field(default_factory=dict)
     steps: list = field(default_factory=list)
+    verbose: bool = False
+    _shown: dict = field(default_factory=dict, repr=False)  # seconds already printed
 
-    def add_time(self, name: str, seconds: float) -> None:
-        self.substep_seconds[name] = self.substep_seconds.get(name, 0.0) + seconds
+    @contextlib.contextmanager
+    def timed(self, name: str):
+        """Add the block's time to substep `name`, also when it raises."""
+        t0 = time.perf_counter()
+        try:
+            yield
+        finally:
+            seconds = self.substep_seconds
+            seconds[name] = seconds.get(name, 0.0) + time.perf_counter() - t0
+
+    def progress(self, head: str, *substeps: str, **counts) -> None:
+        """When verbose, print `head: key=value ...`: the counts, then for
+        each named substep the time it gathered since its last line."""
+        if not self.verbose:
+            return
+        fields = [f"{key}={value}" for key, value in counts.items()]
+        for name in substeps:
+            total = self.substep_seconds.get(name, 0.0)
+            fields.append(f"{name}={total - self._shown.get(name, 0.0):.3f}s")
+            self._shown[name] = total
+        print(f"{head}: {' '.join(fields)}", file=sys.stderr, flush=True)
 
     def bit_gains(self) -> list[int]:
         return [s.n_bits - s.nprime_bits for s in self.steps]
@@ -329,29 +357,6 @@ class Environment:
         return poly
 
 
-class _Progress:
-    def __init__(self, enabled: bool, stream=None):
-        self.enabled = enabled
-        self.stream = stream or sys.stderr
-
-    def line(self, text: str) -> None:
-        if self.enabled:
-            print(text, file=self.stream, flush=True)
-
-
-def _timed(report: RunReport, name: str):
-    class _Timer:
-        def __enter__(self):
-            self.t0 = time.perf_counter()
-            return self
-
-        def __exit__(self, *exc):
-            self.seconds = time.perf_counter() - self.t0
-            report.add_time(name, self.seconds)
-
-    return _Timer()
-
-
 _UNIVERSE_CAP = 4096
 
 
@@ -362,7 +367,6 @@ def run_step(
     config: ProveConfig,
     env: Environment,
     report: RunReport,
-    progress: _Progress,
     step_index: int = 0,
 ) -> cert_mod.CertStep:
     """One downrun step: find (D, t, m = c * N'), then the curve and point.
@@ -373,14 +377,17 @@ def run_step(
     class polynomial, a root mod N, and a point of order N'.  Rounds widen
     the signed-prime budget until the cap, then GiveUp.  The pool is
     enumerated once per universe size and reused by later rounds.
+    Each substep is timed under its name in `report` (the tables under
+    `setup`), and each round prints one progress line per substep.
     """
-    table = env.ensure_table(params.dmax)
-    products = env.ensure_products(params.b)
+    with report.timed("setup"):
+        table = env.ensure_table(params.dmax)
+        products = env.ensure_products(params.b)
     stats = StepStats(index=step_index, n_bits=params.bits)
     report.steps.append(stats)
 
     stream = disc.signed_prime_stream(n)
-    universe: list[disc.SignedPrime] = []
+    universe: list[int] = []
     roots: dict[int, int] = {}
     tried: set[int] = set()
     budget_prev = 0
@@ -395,19 +402,14 @@ def run_step(
     for rnd in range(1, config.round_cap + 1):
         stats.rounds = rnd
         # --- substep 1: choose k, compute square roots ------------------
-        with _timed(report, "roots") as tm:
+        with report.timed("roots"):
             ensure_universe(16)
             while True:
                 if enumerated != len(universe):
                     enumerated = len(universe)
-                    rank_of = {sp.qstar: i for i, sp in enumerate(universe)}
+                    rank_of = {qs: i for i, qs in enumerate(universe)}
                     entries = disc.enumerate_pool_discs(
-                        [sp.qstar for sp in universe],
-                        table,
-                        params.dmax,
-                        params.hmax,
-                        params.pmax,
-                        params.maxparts,
+                        universe, table, params.dmax, params.hmax, params.pmax, params.maxparts
                     )
                     ranked = [(max(rank_of[q] for q in e.parts), e) for e in entries]
                 k, exhausted = choose_k(n, ranked, rnd, params.b)
@@ -416,21 +418,20 @@ def run_step(
                 ensure_universe(len(universe) * 2)
             budget = min(max(k, 2 * budget_prev), len(universe))
             budget_prev = budget
-            for sp in universe[:budget]:
-                if sp.qstar not in roots:
-                    r = sqrt_mod(sp.qstar, n)
+            for qs in universe[:budget]:
+                if qs not in roots:
+                    r = sqrt_mod(qs, n)
                     if r is None:
                         raise CompositeDetected("sqrt-failed-for-residue", n=n)
-                    roots[sp.qstar] = r
+                    roots[qs] = r
             reachable = [e for rank, e in ranked if rank < budget]
             stats.expected = expected_candidates(reachable, params.bits, params.b)
-        progress.line(
-            f"step {step_index} round {rnd} roots: k={k} budget={budget} "
-            f"expected_nprime={stats.expected:.2f} time={tm.seconds:.3f}s"
-        )
+        head = f"step {step_index} round {rnd}"
+        report.progress(f"{head} roots", "roots", k=k, budget=budget,
+                        expected_nprime=f"{stats.expected:.2f}")
 
         # --- substep 2: Cornacchia over all new reachable discriminants --
-        with _timed(report, "cornacchia") as tm:
+        with report.timed("cornacchia"):
             # `roots` holds exactly the signed primes of universe[:budget]
             pool = disc.build_pool(n, entries, roots)
             stats.pool_size = len(pool)
@@ -442,13 +443,10 @@ def run_step(
                 if tv is not None:
                     hits.append((e, tv))
             stats.pell_hits += len(hits)
-        progress.line(
-            f"step {step_index} round {rnd} cornacchia: discs={len(fresh)} "
-            f"hits={len(hits)} time={tm.seconds:.3f}s"
-        )
+        report.progress(f"{head} cornacchia", "cornacchia", discs=len(fresh), hits=len(hits))
 
         # --- substep 3: batched trial division ---------------------------
-        with _timed(report, "trialdiv") as tm:
+        with report.timed("trialdiv"):
             skeletons = []
             for e, (t, v) in hits:
                 for m in {n + 1 - t, n + 1 + t}:
@@ -460,37 +458,26 @@ def run_step(
                     candidates.append(Candidate(e, t, v, m, sp.c, sp.nprime))
             candidates.sort(key=lambda cand: cand.nprime)
             stats.candidates += len(candidates)
-        progress.line(
-            f"step {step_index} round {rnd} trialdiv: ms={len(skeletons)} "
-            f"candidates={len(candidates)} time={tm.seconds:.3f}s"
-        )
+        report.progress(f"{head} trialdiv", "trialdiv", ms=len(skeletons),
+                        candidates=len(candidates))
 
         # --- substep 4 + phase 2: Miller-Rabin, then curves ---------------
-        mr_time = 0.0
+        step = None
         for idx, cand in enumerate(candidates):
-            t0 = time.perf_counter()
-            rng = random.Random(derive_seed(step_seed, "mr", rnd, idx))
-            ok = is_probable_prime(cand.nprime, _MR_ROUNDS, rng)
+            with report.timed("mr"):
+                rng = random.Random(derive_seed(step_seed, "mr", rnd, idx))
+                ok = is_probable_prime(cand.nprime, _MR_ROUNDS, rng)
             stats.mr_tested += 1
-            mr_time += time.perf_counter() - t0
-            if not ok:
-                continue
-            step = _phase2(n, cand, step_seed, (rnd, idx), config, env, report, progress, step_index)
+            if ok:
+                step = _phase2(n, cand, step_seed, (rnd, idx), env, report, step_index)
             if step is not None:
-                report.add_time("mr", mr_time)
-                stats.d = cand.entry.d
-                stats.h = cand.entry.h
+                stats.d, stats.h = cand.entry.d, cand.entry.h
                 stats.nprime_bits = cand.nprime.bit_length()
-                progress.line(
-                    f"step {step_index} round {rnd} mr: tested={stats.mr_tested} "
-                    f"retained={cand.nprime} time={mr_time:.3f}s"
-                )
-                return step
-        report.add_time("mr", mr_time)
-        progress.line(
-            f"step {step_index} round {rnd} mr: tested={stats.mr_tested} "
-            f"retained=none time={mr_time:.3f}s"
-        )
+                break
+        report.progress(f"{head} mr", "mr", tested=stats.mr_tested,
+                        retained=step.nprime if step else "none")
+        if step is not None:
+            return step
 
     raise GiveUp(f"round cap {config.round_cap} reached for N with {params.bits} bits")
 
@@ -500,35 +487,28 @@ def _phase2(
     cand: Candidate,
     step_seed: int,
     tag: tuple,
-    config: ProveConfig,
     env: Environment,
     report: RunReport,
-    progress: _Progress,
     step_index: int,
 ) -> cert_mod.CertStep | None:
     """Class polynomial, root extraction and order-N' point for one candidate."""
     d = cand.entry.d
-    with _timed(report, "classpoly"):
+    with report.timed("classpoly"):
         poly = env.class_poly(d)
-    with _timed(report, "rootmod") as tm_root:
+    with report.timed("rootmod"):
         rng = random.Random(derive_seed(step_seed, "rootmod", *tag))
         j0 = cm.root_mod(poly, n, rng)
-    with _timed(report, "point") as tm_point:
+    with report.timed("point"):
         twists = curve.curves_from_j(j0, n)
         rng = random.Random(derive_seed(step_seed, "point", *tag))
         found = curve.find_order_point(
             twists, cand.m, cand.c, cand.nprime, rng, tries=_POINT_TRIES
         )
+    report.progress(f"step {step_index} phase2", "rootmod", "point", D=d, h=cand.entry.h,
+                    outcome="failure" if found is None else "ok")
     if found is None:
-        progress.line(
-            f"step {step_index} phase2: D={d} h={cand.entry.h} outcome=failure"
-        )
         return None
     e, p, _q = found
-    progress.line(
-        f"step {step_index} phase2: D={d} h={cand.entry.h} root={tm_root.seconds:.3f}s "
-        f"point={tm_point.seconds:.3f}s outcome=ok"
-    )
     return cert_mod.CertStep(
         n=n, d=d, t=cand.t, m=cand.m, c=cand.c, nprime=cand.nprime,
         a=e.a, b=e.b, px=p[0], py=p[1],
@@ -557,12 +537,13 @@ def prove_with_report(
     env = env or Environment(config)
     report = RunReport(
         n=n, bits=n.bit_length(), seed=config.seed, b_bits=config.b_bits,
+        verbose=config.verbose,
     )
-    progress = _Progress(config.verbose)
     t_start = time.perf_counter()
 
-    rng = random.Random(derive_seed(config.seed, "subject", n))
-    witness = compositeness_witness(n, _MR_ROUNDS, rng)  # exact below the threshold
+    with report.timed("subject"):
+        rng = random.Random(derive_seed(config.seed, "subject", n))
+        witness = compositeness_witness(n, _MR_ROUNDS, rng)  # exact below the threshold
     if witness is not None:
         if n % witness == 0:
             raise CompositeDetected("small-prime-factor", factor=witness, n=n)
@@ -575,9 +556,7 @@ def prove_with_report(
         while current >= DETERMINISTIC_THRESHOLD:
             params = select_params(current, config=config)
             step_seed = derive_seed(config.seed, "step", level)
-            step = run_step(
-                current, params, step_seed, config, env, report, progress, level
-            )
+            step = run_step(current, params, step_seed, config, env, report, level)
             steps.append(step)
             current = step.nprime
             level += 1
@@ -588,9 +567,9 @@ def prove_with_report(
             raise
         raise GiveUp(f"step {level} failed without a factor of n: {exc}") from exc
     certificate = cert_mod.Certificate(steps, current)
+    with report.timed("verify"):
+        res = cert_mod.verify(certificate)
     report.wall_seconds = time.perf_counter() - t_start
-
-    res = cert_mod.verify(certificate)
     if not res:
         raise RuntimeError(
             f"internal error: generated certificate failed verification "

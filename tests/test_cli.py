@@ -1,9 +1,10 @@
 import os
+import re
 
 import pytest
 
-from fastecpp import cli
-from fastecpp.errors import CompositeDetected
+from fastecpp import cert, cli, prover
+from fastecpp.errors import CompositeDetected, PrecisionError
 
 
 def run_cli(argv):
@@ -228,3 +229,78 @@ def test_bench_checks_every_digit_count_before_proving(monkeypatch, capsys, digi
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and "Traceback" not in captured.err
     assert captured.out == ""
+
+
+PROGRESS = re.compile(r"step \d+ (?:round \d+ )?(\w+): (.*)")
+PROGRESS_KEYS = {
+    "roots": ["k", "budget", "expected_nprime", "roots"],
+    "cornacchia": ["discs", "hits", "cornacchia"],
+    "trialdiv": ["ms", "candidates", "trialdiv"],
+    "phase2": ["D", "h", "outcome", "rootmod", "point"],
+    "mr": ["tested", "retained", "mr"],
+}
+
+
+def test_prove_progress_lines(monkeypatch, capsys, cache_dir, golden_text):
+    attempts = []
+    phase2 = prover._phase2
+
+    def counting_phase2(*args):
+        attempts.append(args[1])
+        return phase2(*args)
+
+    monkeypatch.setattr(prover, "_phase2", counting_phase2)
+    assert run_cli(["prove", "10^20+39", "--cache-dir", cache_dir]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == golden_text
+    lines = [m for m in map(PROGRESS.fullmatch, captured.err.splitlines()) if m]
+    kinds = "".join({"phase2": "P"}.get(m[1], m[1][0].upper()) for m in lines)
+    # per round: roots, cornacchia, trialdiv, each phase-2 attempt, then mr
+    assert re.fullmatch(r"(RCTP*M)+", kinds), kinds
+    rounds = sum(int(r) for r in re.findall(r"^step index=.* rounds=(\d+) ", captured.err, re.M))
+    assert kinds.count("R") == kinds.count("M") == rounds >= 1
+    assert kinds.count("P") == len(attempts) >= 1
+    for m in lines:
+        fields = dict(kv.split("=", 1) for kv in m[2].split())
+        assert list(fields) == PROGRESS_KEYS[m[1]]
+        if m[1] != "phase2":
+            assert float(fields[m[1]].removesuffix("s")) >= 0
+
+    assert run_cli(["prove", "10^20+39", "--quiet", "--cache-dir", cache_dir]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == golden_text and captured.err == ""
+
+
+PROVE_AND_BENCH = pytest.mark.parametrize(
+    "command", [["prove", "10^20+39"], ["bench", "21"]], ids=["prove", "bench"]
+)
+
+
+@PROVE_AND_BENCH
+def test_unusable_cache_dir_exits_2(tmp_path, capsys, command):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert run_cli([*command, "--quiet", "--cache-dir", str(blocker / "sub")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def _precision_error(self, d):
+    raise PrecisionError(f"class polynomial for D={d} did not stabilise")
+
+
+def _self_verify_reject(certificate):
+    return cert.VerifyResult(False, 0, "order-check-failed")
+
+
+@PROVE_AND_BENCH
+@pytest.mark.parametrize("target, fault", [
+    (prover.Environment, ("class_poly", _precision_error)),
+    (cert, ("verify", _self_verify_reject)),
+], ids=["precision-error", "self-verify-reject"])
+def test_internal_error_exits_3(monkeypatch, capsys, cache_dir, command, target, fault):
+    monkeypatch.setattr(target, *fault)
+    assert run_cli([*command, "--quiet", "--cache-dir", cache_dir]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("give-up: ") and "Traceback" not in captured.err
+    assert "composite:" not in captured.err and "ACCEPT" not in captured.out

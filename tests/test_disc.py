@@ -142,7 +142,7 @@ def test_table_cache_roundtrip(tmp_path, table2000, monkeypatch):
 # signed primes
 
 
-def signed_primes(n: int, count: int) -> list[disc.SignedPrime]:
+def signed_primes(n: int, count: int) -> list[int]:
     """The `count` smallest signed primes that split for n."""
     return list(itertools.islice(disc.signed_prime_stream(n), count))
 
@@ -170,12 +170,12 @@ def signed_prime_order_oracle(limit: int) -> list[int]:
 def test_signed_primes_smallest_splitting():
     n = 1000003
     expect = [q for q in signed_prime_order_oracle(200) if jacobi(q, n) == 1][:3]
-    got = [sp.qstar for sp in signed_primes(n, 3)]
+    got = signed_primes(n, 3)
     assert got == expect
 
 
 def test_signed_primes_17_includes_both_even():
-    got = [sp.qstar for sp in signed_primes(17, 6)]
+    got = signed_primes(17, 6)
     assert jacobi(-4, 17) == 1 and jacobi(8, 17) == 1
     assert -4 in got and 8 in got
 
@@ -185,9 +185,9 @@ def test_signed_primes_zero_count():
 
 
 def test_signed_primes_qstar_congruence():
-    for sp in signed_primes(10**12 + 39, 25):
-        assert sp.qstar % 4 in (0, 1)
-        assert prime_of(sp.qstar) == 2 or prime_of(sp.qstar) == abs(sp.qstar)
+    for qs in signed_primes(10**12 + 39, 25):
+        assert qs % 4 in (0, 1)
+        assert prime_of(qs) == 2 or prime_of(qs) == abs(qs)
 
 
 def test_signed_primes_composite_shortcut():
@@ -244,7 +244,7 @@ def test_build_pool_pmax_excludes(table2000):
 def test_build_pool_respects_bounds_and_order(env):
     n = 10**20 + 39
     table = env.table
-    qstars = [sp.qstar for sp in signed_primes(n, 12)]
+    qstars = signed_primes(n, 12)
     pool = _pool(n, qstars, table, 10_000, 16, 29, 3)
     assert pool, "pool should not be empty with 12 signed primes"
     keys = [(e.h, -e.d) for e in pool]
@@ -263,7 +263,7 @@ def test_build_pool_respects_bounds_and_order(env):
 
 def test_build_pool_deterministic(table2000):
     n = 10**9 + 7
-    qstars = [sp.qstar for sp in signed_primes(n, 8)]
+    qstars = signed_primes(n, 8)
     p1 = _pool(n, qstars, table2000, 2000, 64, 29, 3)
     p2 = _pool(n, qstars, table2000, 2000, 64, 29, 3)
     assert [(e.d, e.h, e.parts, e.root) for e in p1] == [
@@ -278,7 +278,7 @@ def test_build_pool_from_wider_enumeration(env):
     n = 10**20 + 39
     table = env.table
     stream = disc.signed_prime_stream(n)
-    universe = [next(stream).qstar for _ in range(128)]
+    universe = [next(stream) for _ in range(128)]
     assert len(set(universe)) < len(universe)  # the stream repeats primes
     entries = disc.enumerate_pool_discs(universe, table, 1 << 20, 64, 29, 3)
     for budget in (1, 5, 16, 40, 90, 128):
@@ -303,7 +303,7 @@ def test_pool_discs_jacobi_positive(table2000):
         if not is_probable_prime(n):
             continue
         done += 1
-        qstars = [sp.qstar for sp in signed_primes(n, 6)]
+        qstars = signed_primes(n, 6)
         pool = _pool(n, qstars, table2000, 2000, 64, 29, 3)
         for e in pool:
             assert jacobi(e.d, n) == 1

@@ -1,6 +1,7 @@
 import os
 import random
 import shutil
+import time
 
 import pytest
 
@@ -248,6 +249,40 @@ def test_report_text_shape(cache_dir, env):
     assert text.startswith("fastecpp run report v1\n")
     assert "substep cornacchia" in text and "percent=" in text
     assert "mean_bit_gain_per_step" in text
+
+
+def test_substeps_cover_wall_time():
+    """With a fresh Environment the tables are built inside the prove, under
+    `setup`.  The timed blocks are disjoint, so they add up to at most the
+    wall time, and what lies between them is small."""
+    config = prover.ProveConfig(seed=0)
+    _, report = prover.prove_with_report(10**20 + 39, config, prover.Environment(config))
+    assert {"setup", "subject", "verify"} <= report.substep_seconds.keys()
+    total = sum(report.substep_seconds.values())
+    assert 0.95 * report.wall_seconds <= total <= report.wall_seconds
+
+
+def test_timed_keeps_the_time_of_a_block_that_raises():
+    report = prover.RunReport()
+    with pytest.raises(ZeroDivisionError):
+        with report.timed("rootmod"):
+            time.sleep(0.01)
+            1 / 0
+    assert report.substep_seconds["rootmod"] >= 0.01
+
+
+def test_progress_line_shows_time_since_the_last_line(capsys):
+    report = prover.RunReport(verbose=True)
+    report.substep_seconds.update(mr=1.0, point=0.25)
+    report.progress("step 0 round 1 mr", "mr", tested=3, retained="none")
+    report.substep_seconds.update(mr=1.5, point=2.0)
+    report.progress("step 0 round 2 mr", "mr", tested=5, retained=11)
+    assert capsys.readouterr().err == (
+        "step 0 round 1 mr: tested=3 retained=none mr=1.000s\n"
+        "step 0 round 2 mr: tested=5 retained=11 mr=0.500s\n"
+    )
+    prover.RunReport().progress("step 0 phase2", "point", D=-3)
+    assert capsys.readouterr().err == ""
 
 
 def test_give_up_on_starved_config(env):
