@@ -146,12 +146,11 @@ def precision_for(d: int, forms: list[ReducedForm], cube_roots: bool = False) ->
     """First-attempt bit precision for H_D, or for W if cube_roots.
 
     pi sqrt|D| sum(1/a) / ln 2 bounds the coefficient sizes of H_D, and a
-    third of it those of W.  The guard absorbs accumulation in the
-    expansion: 10h + 64 bits for H_D, h + 32 for W.
+    third of it those of W.  A guard of h + 32 bits absorbs accumulation
+    in the expansion of either.
     """
     height = math.pi * math.sqrt(-d) * math.fsum(1.0 / f.a for f in forms) / math.log(2)
-    h = len(forms)
-    return math.ceil(height / 3) + h + 32 if cube_roots else math.ceil(height) + 10 * h + 64
+    return math.ceil(height / 3 if cube_roots else height) + len(forms) + 32
 
 
 def _expand(d: int, forms: list[ReducedForm], wp: int, cube_roots: bool) -> tuple[list[int], float]:
@@ -236,19 +235,18 @@ def _ptrim(p: list[int]) -> list[int]:
     return p
 
 
-def _pmod(u: list[int], f: list[int], n: int) -> list[int]:
-    """u mod f for monic f."""
+def _pdivmod(u: list[int], f: list[int], n: int) -> tuple[list[int], list[int]]:
+    """(u // f, u mod f) for monic f."""
     u = u[:]
     df = len(f) - 1
-    while len(u) - 1 >= df and u:
-        lead = u[-1]
-        shift = len(u) - 1 - df
+    q = [0] * max(len(u) - df, 0)
+    for shift in range(len(u) - 1 - df, -1, -1):
+        lead = u[shift + df]
+        q[shift] = lead
         if lead:
             for i in range(df + 1):
                 u[shift + i] = (u[shift + i] - lead * f[i]) % n
-        u.pop()
-        _ptrim(u)
-    return u
+    return _ptrim(q), _ptrim(u[:df])
 
 
 def _pmonic(p: list[int], n: int) -> list[int]:
@@ -260,22 +258,8 @@ def _pgcd(u: list[int], v: list[int], n: int) -> list[int]:
     u, v = _ptrim(u[:]), _ptrim(v[:])
     while v:
         v = _pmonic(v, n)
-        u, v = v, _pmod(u, v, n)
+        u, v = v, _pdivmod(u, v, n)[1]
     return _pmonic(u, n) if u else u
-
-
-def _pdiv_exact(u: list[int], f: list[int], n: int) -> list[int]:
-    """u / f for monic f dividing u exactly."""
-    u = u[:]
-    df = len(f) - 1
-    q = [0] * (len(u) - df)
-    for shift in range(len(u) - 1 - df, -1, -1):
-        lead = u[shift + df]
-        q[shift] = lead
-        if lead:
-            for i in range(df + 1):
-                u[shift + i] = (u[shift + i] - lead * f[i]) % n
-    return _ptrim(q)
 
 
 def _pack(p: list[int], wb: int) -> int:
@@ -404,7 +388,7 @@ def root_mod(poly: ClassPolynomial, n: int, rng: random.Random | None = None) ->
             if len(d) * 2 <= len(g) + 1:
                 g = d
             else:
-                spare, g = d, _pdiv_exact(g, d, n)
+                spare, g = d, _pdivmod(g, d, n)[0]
         elif not checked:
             checked = True
             xn = _Modulus(g, n).pow_linear(0, n)

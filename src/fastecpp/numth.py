@@ -3,9 +3,11 @@
 Jacobi symbols, Miller-Rabin probable-prime tests (deterministic below
 2**64) that can name their witness, Tonelli-Shanks square roots, and the
 modified Cornacchia solver for 4N = t^2 + |D| v^2.  Everything here is a
-pure function; all are safe for concurrent use.
+pure function (the square root memoises constants of its last few moduli);
+all are safe for concurrent use.
 """
 
+import functools
 import math
 import random
 
@@ -41,7 +43,14 @@ def jacobi(a: int, n: int) -> int:
     return result if n == 1 else 0
 
 
-def _mr_witness(n: int, a: int, d: int, s: int) -> bool:
+def _split_n_minus_1(n: int) -> tuple[int, int]:
+    """(s, q) with n - 1 = 2^s q and q odd, for odd n >= 3."""
+    m = n - 1
+    s = (m & -m).bit_length() - 1
+    return s, m >> s
+
+
+def _mr_witness(n: int, a: int, s: int, d: int) -> bool:
     """True if `a` witnesses the compositeness of odd n = 2^s * d + 1."""
     x = pow(a, d, n)
     if x == 1 or x == n - 1:
@@ -73,16 +82,14 @@ def compositeness_witness(
             return None
         if n % p == 0:
             return p
-    d = n - 1
-    s = (d & -d).bit_length() - 1
-    d >>= s
+    s, d = _split_n_minus_1(n)
     if n < DETERMINISTIC_THRESHOLD:
-        return next((a for a in _DETERMINISTIC_BASES if _mr_witness(n, a, d, s)), None)
+        return next((a for a in _DETERMINISTIC_BASES if _mr_witness(n, a, s, d)), None)
     if rng is None:
         rng = random
     for _ in range(rounds):
         a = rng.randrange(2, n - 1)
-        if _mr_witness(n, a, d, s):
+        if _mr_witness(n, a, s, d):
             return a
     return None
 
@@ -103,51 +110,38 @@ def is_strong_witness(n: int, a: int) -> bool:
     strong-pseudoprime test; False for every other (n, a)."""
     if n % 2 == 0 or not 1 < a < n - 1:
         return False
-    d = n - 1
-    s = (d & -d).bit_length() - 1
-    return _mr_witness(n, a, d >> s, s)
+    return _mr_witness(n, a, *_split_n_minus_1(n))
 
 
-def _tonelli_shanks(a: int, n: int) -> int | None:
-    """General case of the square root; n odd with n % 8 == 1 expected."""
-    # write n - 1 = q * 2^s
-    q = n - 1
-    s = (q & -q).bit_length() - 1
-    q >>= s
-    # find a quadratic non-residue z; for prime n one shows up fast
-    z = 0
-    for cand in range(2, 10_000):
-        if jacobi(cand, n) == -1:
-            z = cand
-            break
-    if z == 0:
-        return None
-    c = pow(z, q, n)
-    r = pow(a, (q + 1) // 2, n)
-    t = pow(a, q, n)
-    m = s
-    while t != 1:
-        t2 = t * t % n
-        i = 1
-        while t2 != 1:
-            t2 = t2 * t2 % n
-            i += 1
-            if i == m:
-                return None  # impossible for prime n: bail out safely
-        b = pow(c, 1 << (m - i - 1), n)
-        r = r * b % n
-        c = b * b % n
-        t = t * c % n
-        m = i
-    return r
+@functools.lru_cache(maxsize=8)
+def _sqrt_constants(n: int) -> tuple[int, int, int] | None:
+    """(s, q, c) for the square root modulo odd n: n - 1 = 2^s q with q
+    odd, and c = z^q for a non-residue z; None if no z is found.
+
+    The search runs over -1, -2, ...: -1 is a non-residue when
+    n = 3 (mod 4) and -2 when n = 5 (mod 8), so for those it ends at once.
+    """
+    s, q = _split_n_minus_1(n)
+    for z in range(-1, -10_000, -1):
+        if jacobi(z, n) == -1:
+            return s, q, pow(z, q, n)
+    return None
 
 
 def sqrt_mod(a: int, n: int) -> int | None:
     """Square root of a modulo n, canonicalised as min(r, n - r).
 
-    Assumes n is an odd prime; returns None when (a|n) = -1.  For
-    composite n the result may be None even for residues, never a value
-    whose square is not a (the output is verified before returning).
+    Assumes n is an odd prime.  One Tonelli-Shanks, in the a^((q-1)/2)
+    form: with w = a^((q-1)/2), r = a w and t = r w = a^q, and the loop
+    fixes t with powers of c = z^q.  By Euler's criterion t has order
+    exactly 2^s when a^((n-1)/2) = -1, so the loop itself returns None
+    for a non-residue.  (s, q, c) depend only on n and are memoised for
+    the last few moduli.  For s = 1 the cost is the one exponentiation
+    a^((n+1)/4).
+
+    The result is None or a checked root: a value is returned only after
+    its square is verified to be a, so a composite n may give None for
+    a residue but never a wrong root.
     """
     if n % 2 == 0:
         raise ValueError("sqrt_mod: modulus must be odd")
@@ -156,21 +150,28 @@ def sqrt_mod(a: int, n: int) -> int | None:
     a %= n
     if a == 0:
         return 0
-    if jacobi(a, n) != 1:
+    constants = _sqrt_constants(n)
+    if constants is None:
         return None
-    if n % 4 == 3:
-        r = pow(a, (n + 1) // 4, n)
-    elif n % 8 == 5:
-        # Atkin's formula
-        v = pow(2 * a, (n - 5) // 8, n)
-        i = 2 * a * v * v % n
-        r = a * v * (i - 1) % n
-    else:
-        r = _tonelli_shanks(a, n)
-        if r is None:
+    m, q, c = constants
+    w = pow(a, (q - 1) // 2, n)
+    r = a * w % n
+    t = r * w % n
+    while t != 1:
+        # least i with t^(2^i) = 1; i = m means a non-residue or composite n
+        i, u = 1, t * t % n
+        while u != 1 and i < m:
+            u = u * u % n
+            i += 1
+        if i == m:
             return None
+        b = pow(c, 1 << (m - i - 1), n)
+        r = r * b % n
+        c = b * b % n
+        t = t * c % n
+        m = i
     if r * r % n != a:
-        return None  # only reachable when n is composite
+        return None  # the loop keeps r^2 = a t for every n: checked, not assumed
     return min(r, n - r)
 
 

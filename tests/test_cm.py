@@ -16,10 +16,18 @@ DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 # oracle: class polynomial coefficients from mpmath's own Klein j
 
 
+def j_path_precision(d: int, forms: list[cm.ReducedForm]) -> int:
+    """Precision for the oracles of H_D from j: the height bound plus a
+    guard of 10h + 64, well above cm.precision_for's h + 32, so that no
+    oracle shares the guard it checks."""
+    height = math.pi * math.sqrt(-d) * math.fsum(1.0 / f.a for f in forms) / math.log(2)
+    return math.ceil(height) + 10 * len(forms) + 64
+
+
 def class_poly_oracle(d: int, extra_bits: int = 128) -> list[int]:
     """Independent reconstruction via mpmath.kleinj (j / 1728)."""
     forms = cm.reduced_forms(d)
-    prec = cm.precision_for(d, forms) + extra_bits
+    prec = j_path_precision(d, forms) + extra_bits
     with mpmath.workprec(prec):
         roots = []
         for f in forms:
@@ -224,7 +232,7 @@ def test_gamma2_path_matches_j_path(discs2000):
         if d % 3 == 0:
             continue
         forms = cm.reduced_forms(d)
-        wp = cm.precision_for(d, forms) + 32 + h.bit_length()
+        wp = j_path_precision(d, forms) + 32 + h.bit_length()
         coeffs, residual = cm._expand(d, forms, wp, False)
         assert residual < 1e-6, d
         poly = cm.hilbert_class_poly(d)
@@ -232,6 +240,28 @@ def test_gamma2_path_matches_j_path(discs2000):
         assert poly.residual < 1e-6, d
         checked += 1
     assert checked > 400
+
+
+def test_j_path_first_attempt_matches_a_wider_guard(monkeypatch, discs2000):
+    """For every fundamental D with 3 | D and |D| <= 2000, and the 3 | D
+    discriminants of the pinned chains, H_D from j at the guard h + 32
+    succeeds at the first attempt with the coefficients of the guard
+    10h + 64."""
+    real = cm._expand
+    attempts = _spy_expand(monkeypatch)
+    discs = [d for d, _ in discs2000 if d % 3 == 0] + [-11427, -2712, -39]
+    assert len(discs) == 154
+    for d in discs:
+        attempts.clear()
+        forms = cm.reduced_forms(d)
+        poly = cm.hilbert_class_poly(d)
+        assert len(attempts) == 1, d
+        assert poly.precision_bits == cm.precision_for(d, forms) < j_path_precision(d, forms)
+        wp = j_path_precision(d, forms) + 32 + len(forms).bit_length()
+        old, residual = real(d, forms, wp, False)
+        assert residual < 1e-6, d
+        assert attempts[0][1] == poly.coeffs == old, d
+        assert poly.residual < 1e-6, d
 
 
 @pytest.mark.parametrize("d", [-20708, -10643])
@@ -287,7 +317,7 @@ def root_mod_oracle(poly: cm.ClassPolynomial, n: int, rng: random.Random) -> int
         t[0] = (t[0] - 1) % n
         d = cm._pgcd(t, g, n)
         if 1 < len(d) < len(g):
-            g = d if len(d) * 2 <= len(g) + 1 else cm._pdiv_exact(g, d, n)
+            g = d if len(d) * 2 <= len(g) + 1 else cm._pdivmod(g, d, n)[0]
     return -g[0] % n
 
 

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from fastecpp import numth
 from fastecpp.errors import CompositeDetected
 from fastecpp.numth import (
     DETERMINISTIC_THRESHOLD,
@@ -260,6 +261,64 @@ def test_sqrt_mod_composite_modulus_never_wrong():
         r = sqrt_mod(a, n)
         if r is not None:
             assert r * r % n == a % n
+
+
+def test_sqrt_mod_ends_when_t_never_reaches_one():
+    """(74879|128745) = 1, but 74879 is no square mod 9 | 128745, so no
+    root exists; there the loop's t never becomes 1 and must still stop."""
+    assert jacobi(74879, 128745) == 1 and 74879 % 9 not in (0, 1, 4, 7)
+    assert sqrt_mod(74879, 128745) is None
+
+
+def prime_with_two_adic_order(bits: int, s: int, rng: random.Random) -> int:
+    """A prime n of `bits` bits with n - 1 = 2^s q, q odd."""
+    while True:
+        q = rng.getrandbits(bits - s) | 1 << (bits - s - 1) | 1
+        n = (q << s) + 1
+        if is_probable_prime(n, rng=rng):
+            return n
+
+
+@pytest.mark.parametrize("bits", [80, 333, 665])
+@pytest.mark.parametrize("s", [1, 2, 3, 5, 12, 40])
+def test_sqrt_mod_properties_for_large_primes(bits, s):
+    """For prime n the canonical root is unique, so r^2 = a, r <= n - r and
+    None exactly for Euler's criterion -1 determine the answer."""
+    rng = random.Random(bits * 100 + s)
+    n = prime_with_two_adic_order(bits, s, rng)
+    assert n.bit_length() == bits and ((n - 1) & -(n - 1)) == 1 << s
+    seen = set()
+    for a in [rng.randrange(1, n) for _ in range(40)] + [1, n - 1, 2, 4]:
+        r = sqrt_mod(a, n)
+        euler = pow(a, (n - 1) // 2, n)
+        assert euler in (1, n - 1)
+        if euler == n - 1:
+            assert r is None, a
+        else:
+            assert r is not None and r * r % n == a and r <= n - r, a
+        seen.add(r is None)
+        assert sqrt_mod(a - n, n) == sqrt_mod(a + n, n) == r
+    assert seen == {True, False}
+    assert sqrt_mod(0, n) == sqrt_mod(n, n) == sqrt_mod(-5 * n, n) == 0
+
+
+def test_sqrt_mod_interleaved_moduli_beyond_the_memo():
+    """More moduli than the memo holds, visited round-robin twice, give
+    each the roots it gives when computed alone with an empty memo."""
+    rng = random.Random(11)
+    size = numth._sqrt_constants.cache_info().maxsize
+    moduli = [prime_with_two_adic_order(96, 1 + i % 7, rng) for i in range(2 * size + 3)]
+    values = {n: [rng.randrange(n) for _ in range(4)] for n in moduli}
+    alone = {}
+    for n in moduli:
+        numth._sqrt_constants.cache_clear()
+        alone[n] = [sqrt_mod(a, n) for a in values[n]]
+    numth._sqrt_constants.cache_clear()
+    for _ in range(2):
+        for k in range(4):
+            for n in moduli:
+                assert sqrt_mod(values[n][k], n) == alone[n][k]
+    assert numth._sqrt_constants.cache_info().currsize == size
 
 
 # ---------------------------------------------------------------------------
