@@ -1,7 +1,8 @@
 """Big-integer number theory primitives.
 
 Jacobi symbols, Miller-Rabin probable-prime tests (deterministic below
-2**64) that can name their witness, Tonelli-Shanks square roots, and the
+2**64) that can name their witness, a round count from the
+Damgard-Landrock-Pomerance bound, Tonelli-Shanks square roots, and the
 modified Cornacchia solver for 4N = t^2 + |D| v^2.  Everything here is a
 pure function (the square root memoises constants of its last few moduli);
 all are safe for concurrent use.
@@ -103,6 +104,27 @@ def is_probable_prime(n: int, rounds: int = 64, rng: random.Random | None = None
     round".  compositeness_witness gives the evidence behind a False.
     """
     return compositeness_witness(n, rounds, rng) is None
+
+
+# Rounds where the average-case bound admits none: 4^-17 worst case.
+_FALLBACK_ROUNDS = 17
+
+
+def mr_rounds(k: int, bits: int) -> int:
+    """Miller-Rabin rounds for a k-bit cofactor of an L-bit number (L = bits).
+
+    The smallest t with 3 <= t <= k/9 and
+    k^(3/2) 2^t t^(-1/2) 4^(2 - sqrt(tk)) <= 2^-33 / L, the
+    Damgard-Landrock-Pomerance bound on p_{k,t} (Math. Comp. 61, 1993),
+    compared in log2; 17 when no such t exists.  See `stats.sample` for
+    why the sum over k <= L stays below 2^-33.
+    """
+    limit = -33.0 - math.log2(bits)
+    for t in range(3, k // 9 + 1):
+        log2_p = 1.5 * math.log2(k) + t - 0.5 * math.log2(t) + 2.0 * (2.0 - math.sqrt(t * k))
+        if log2_p <= limit:
+            return t
+    return _FALLBACK_ROUNDS
 
 
 def is_strong_witness(n: int, a: int) -> bool:

@@ -27,6 +27,7 @@ from .numth import (
     compositeness_witness,
     cornacchia,
     is_probable_prime,
+    mr_rounds,
     sqrt_mod,
 )
 from .parallel import derive_seed
@@ -61,7 +62,7 @@ class ProveConfig:
             raise ValueError("hmax, maxparts and round_cap must be >= 1")
 
 
-_MR_ROUNDS = 64
+_SUBJECT_ROUNDS = 64     # Miller-Rabin rounds for the subject n
 _POINT_TRIES = 8         # random points per twist
 
 
@@ -108,10 +109,12 @@ class StepStats:
 class RunReport:
     """The one recorder of a proof: step counters, substep times, progress.
 
-    `substep_seconds` sums the `timed` blocks by name: `roots`,
+    `substep_seconds` sums the `timed` blocks by name: `pool` (signed
+    primes, pool enumeration and ranking, the choice of k), `roots`,
     `cornacchia`, `trialdiv`, `mr`, `classpoly`, `rootmod`, `point`, and
     `setup` (tables), `subject` (the test of n) and `verify` (the
-    self-check), which together cover nearly all of `wall_seconds`.
+    self-check).  No two blocks overlap, and together they cover nearly
+    all of `wall_seconds`.
     """
 
     n: int = 0
@@ -371,14 +374,21 @@ def run_step(
 ) -> cert_mod.CertStep:
     """One downrun step: find (D, t, m = c * N'), then the curve and point.
 
-    Substeps: split-prime square roots, Cornacchia over every reachable
-    pool discriminant, batched trial division with the quartic-root floor,
+    Substeps: the discriminant pool and the signed-prime budget k,
+    split-prime square roots, Cornacchia over every reachable pool
+    discriminant, batched trial division with the quartic-root floor,
     Miller-Rabin by ascending N' keeping the smallest survivor, then the
     class polynomial, a root mod N, and a point of order N'.  Rounds widen
     the signed-prime budget until the cap, then GiveUp.  The pool is
     enumerated once per universe size and reused by later rounds.
     Each substep is timed under its name in `report` (the tables under
-    `setup`), and each round prints one progress line per substep.
+    `setup`), and each round prints one progress line per substep but
+    `pool`, whose time the `roots` line shows.
+
+    Each N' gets the `mr_rounds` count for its size, not the subject's
+    64, drawn from the same RNG, so the kept candidate only differs when a
+    composite passes all of its rounds; that N' then fails as the next
+    modulus or in the final deterministic test: GiveUp, no certificate.
     """
     with report.timed("setup"):
         table = env.ensure_table(params.dmax)
@@ -401,8 +411,8 @@ def run_step(
 
     for rnd in range(1, config.round_cap + 1):
         stats.rounds = rnd
-        # --- substep 1: choose k, compute square roots ------------------
-        with report.timed("roots"):
+        # --- substep 1: the pool, k, and square roots --------------------
+        with report.timed("pool"):
             ensure_universe(16)
             while True:
                 if enumerated != len(universe):
@@ -416,6 +426,7 @@ def run_step(
                 if not exhausted or len(universe) >= _UNIVERSE_CAP:
                     break
                 ensure_universe(len(universe) * 2)
+        with report.timed("roots"):
             budget = min(max(k, 2 * budget_prev), len(universe))
             budget_prev = budget
             for qs in universe[:budget]:
@@ -427,7 +438,7 @@ def run_step(
             reachable = [e for rank, e in ranked if rank < budget]
             stats.expected = expected_candidates(reachable, params.bits, params.b)
         head = f"step {step_index} round {rnd}"
-        report.progress(f"{head} roots", "roots", k=k, budget=budget,
+        report.progress(f"{head} roots", "pool", "roots", k=k, budget=budget,
                         expected_nprime=f"{stats.expected:.2f}")
 
         # --- substep 2: Cornacchia over all new reachable discriminants --
@@ -466,7 +477,8 @@ def run_step(
         for idx, cand in enumerate(candidates):
             with report.timed("mr"):
                 rng = random.Random(derive_seed(step_seed, "mr", rnd, idx))
-                ok = is_probable_prime(cand.nprime, _MR_ROUNDS, rng)
+                rounds = mr_rounds(cand.nprime.bit_length(), params.bits)
+                ok = is_probable_prime(cand.nprime, rounds, rng)
             stats.mr_tested += 1
             if ok:
                 step = _phase2(n, cand, step_seed, (rnd, idx), env, report, step_index)
@@ -543,7 +555,7 @@ def prove_with_report(
 
     with report.timed("subject"):
         rng = random.Random(derive_seed(config.seed, "subject", n))
-        witness = compositeness_witness(n, _MR_ROUNDS, rng)  # exact below the threshold
+        witness = compositeness_witness(n, _SUBJECT_ROUNDS, rng)  # exact below the threshold
     if witness is not None:
         if n % witness == 0:
             raise CompositeDetected("small-prime-factor", factor=witness, n=n)

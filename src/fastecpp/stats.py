@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import trialdiv
-from .numth import is_probable_prime
+from .numth import is_probable_prime, mr_rounds
 from .parallel import derive_seed
 
 # Euler-Mascheroni constant to 50 decimal digits.
@@ -137,24 +137,6 @@ class SampleReport:
 
 
 _CHUNK = 4096
-# Rounds where the average-case bound admits none: 4^-17 worst case.
-_FALLBACK_ROUNDS = 17
-
-
-def _mr_rounds(k: int, bits: int) -> int:
-    """Miller-Rabin rounds for a k-bit cofactor of an L-bit draw (L = bits).
-
-    The smallest t with 3 <= t <= k/9 and
-    k^(3/2) 2^t t^(-1/2) 4^(2 - sqrt(tk)) <= 2^-33 / L, the
-    Damgard-Landrock-Pomerance bound on p_{k,t} (Math. Comp. 61, 1993),
-    compared in log2; 17 when no such t exists.  See `sample` for why.
-    """
-    limit = -33.0 - math.log2(bits)
-    for t in range(3, k // 9 + 1):
-        log2_p = 1.5 * math.log2(k) + t - 0.5 * math.log2(t) + 2.0 * (2.0 - math.sqrt(t * k))
-        if log2_p <= limit:
-            return t
-    return _FALLBACK_ROUNDS
 
 
 def sample(
@@ -178,8 +160,9 @@ def sample(
     given, must end at B (`batch_factor` checks the start and the gaps).
 
     The Miller-Rabin round count depends on the bit length k of the
-    cofactor N' (`_mr_rounds`), and the chance that any one sample keeps a
-    composite N' stays below 4^-16, the worst-case bound of 16 rounds:
+    cofactor N' (`numth.mr_rounds`), and the chance that any one sample
+    keeps a composite N' stays below 4^-16, the worst-case bound of 16
+    rounds:
 
     - N' is odd (B >= 2^10 takes out the 2s).  For a k-bit x, the draw m
       is uniform over 2^(L-1) integers and at most 2^(L-1)/x + 1 of them
@@ -224,7 +207,7 @@ def sample(
             ms.append(rng.getrandbits(bits - 1) | (1 << (bits - 1)))
 
     splits = trialdiv.batch_factor(ms, products)
-    rounds = [_mr_rounds(k, bits) for k in range(bits + 1)]
+    rounds = [mr_rounds(k, bits) for k in range(bits + 1)]
     kept_alphas = []
     for i, sp in enumerate(splits):
         if sp.nprime < 2:

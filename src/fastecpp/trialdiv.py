@@ -6,20 +6,30 @@ path computes P mod m_i for all m_i with a product/remainder tree, then
 extracts c by an iterated-gcd ladder run to stabilisation.
 
 The remainder tree runs in exact `decimal` arithmetic: libmpdec multiplies
-large operands with a number-theoretic transform and divides by Newton
-iteration, where CPython's int division is schoolbook, quadratic in the
-size of P.  Every tree operation runs in one context whose precision is
-unbounded in practice and which traps Inexact and Rounded, so a result
-that is not exact raises instead of being rounded; the caller's context
-is never touched.  Leaves are cut into batches of at most about
-bitlen(P)/4 bits (`_batch_cap`).  Each batch keeps all its product
-levels, so the live tree stays within about the tree depth times the
-cap, plus the leaves and P.  A smaller cap costs more reductions of P
-and keeps a smaller tree: with 10k 256-bit moduli against the
-1.5-Mbit product of the primes below 2^20, caps of bitlen(P), /2, /4
-and /8 took 3.30, 3.13-3.17, 3.24-3.44 and 3.85-3.96 s, and /2, /4 and
-/8 traced peaks of 4.7, 3.6 and 3.1 MB (three runs each, one process,
-2-core machine, CPython 3.11).
+large operands with a number-theoretic transform, where CPython's int
+arithmetic is quadratic in the size of P.  Every tree operation runs in
+one context whose precision is unbounded in practice and which traps
+Inexact and Rounded, so a result that is not exact raises instead of
+being rounded; the caller's context is never touched.  Leaves are cut
+into batches of at most about bitlen(P)/4 bits (`_batch_cap`).  Each
+batch keeps all its product levels, so the live tree stays within about
+the tree depth times the cap, plus the leaves and P.  A smaller cap costs
+more reductions of P and keeps a smaller tree: with 10k 256-bit moduli
+against the 1.5-Mbit product of the primes below 2^20, caps of
+bitlen(P), /2, /4 and /8 took 3.30, 3.13-3.17, 3.24-3.44 and 3.85-3.96 s,
+and /2, /4 and /8 traced peaks of 4.7, 3.6 and 3.1 MB (three runs each,
+one process, 2-core machine, CPython 3.11).
+
+The reduction of P by a batch's root is most of the tree's time on the
+prover's batches, and libmpdec's `%` divides by the schoolbook method
+below its Newton cutoff.  A root of k >= 4900 digits is reduced instead
+by a Barrett reduction over k-digit chunks of P's digits
+(`_barrett_mod`), whose products are then number-theoretic-transform
+multiplications.  Against the 454,835-digit product of the primes below
+2^20, `%` took 53-59 ms for roots of 4700-4850 digits and Barrett
+137-152 ms (Karatsuba products); from 4900 digits Barrett took 38-45 ms
+and `%` 54-61 ms, and for roots of 27-373 kbits 72-112 ms against
+98-157 ms (best of 5, one process, 2-core machine, CPython 3.11).
 """
 
 import decimal
@@ -41,6 +51,9 @@ _EXACT = decimal.Context(
 # that costs less than splitting further.
 _CONVERT_BITS = 1024
 _LOG2_10 = math.log2(10)
+# Roots of fewer digits are reduced by `%` (measured, see above).
+_BARRETT_DIGITS = 4900
+_ONE = Decimal(1)
 
 
 def primes_up_to(n: int) -> np.ndarray:
@@ -136,6 +149,12 @@ class PrimeProduct:
         """
         return to_decimal(self.value)
 
+    @cached_property
+    def digits(self) -> str:
+        """The decimal digits of value for `_barrett_mod`, written out on
+        first use (1.6 ms for the product of the primes below 2^20)."""
+        return str(self.decimal_value)
+
 
 # Widest prime range (b_lo, b_hi] of one product the program builds.
 RANGE_WIDTH = 1 << 24
@@ -179,19 +198,47 @@ def _batches(ms: list[int], cap: int) -> list[list[int]]:
     return batches
 
 
-def remainder_tree(p: int | Decimal, ms: list[int]) -> list[int]:
+def _barrett_mod(digits: str, m: Decimal) -> Decimal:
+    """P mod m inside the exact context, P given by its decimal digits.
+
+    With k the digit count of m, the k-digit chunks of P (the first one
+    shorter) are folded in from the top: r = r * 10^k + chunk < 10^2k, so
+    with mu = floor(10^2k / m) Barrett's estimate
+    floor(floor(r / 10^(k-1)) * mu / 10^(k+1)) is at most 2 below
+    floor(r / m) (Handbook of Applied Cryptography, 14.42).
+    """
+    k = m.adjusted() + 1
+    mu = _ONE.scaleb(2 * k) // m
+    r = Decimal(0)
+    start = 0
+    for end in range(len(digits) % k or k, len(digits) + 1, k):
+        r = r.scaleb(k) + Decimal(digits[start:end])
+        start = end
+        q = r.scaleb(1 - k).to_integral_value(decimal.ROUND_DOWN) * mu
+        r -= q.scaleb(-k - 1).to_integral_value(decimal.ROUND_DOWN) * m
+        while r >= m:
+            r -= m
+    return r
+
+
+def remainder_tree(p: int | Decimal | PrimeProduct, ms: list[int]) -> list[int]:
     """P mod m_i for every i, by batched product/remainder trees.
 
-    P >= 0 is an int or an exact integral Decimal (such as
-    PrimeProduct.decimal_value); an int is converted on each call.  The
-    tree runs in exact decimal arithmetic (see the module docstring) and
-    the remainders come back as ints.  The leaves are cut into
-    consecutive batches whose product stays at or below about
+    P >= 0 is an int, an exact integral Decimal, or a PrimeProduct, whose
+    Decimal copy and digit string are kept on it; an int is converted on
+    each call.  The tree runs in exact decimal arithmetic (see the module
+    docstring) and the remainders come back as ints.  The leaves are cut
+    into consecutive batches whose product stays at or below about
     bitlen(P)/4 bits (one leaf minimum).  Each batch builds its product
     levels once, reduces P by the root, and walks down: a node's
-    remainder is its parent's remainder mod the node.  Batch boundaries
-    do not change the result.
+    remainder is its parent's remainder mod the node.  A root of fewer
+    than 4900 digits (about 16.3 kbits) is reduced by libmpdec's `%`, a
+    larger one by `_barrett_mod`.  Batch boundaries do not change the
+    result.
     """
+    product = p if isinstance(p, PrimeProduct) else None
+    if product is not None:
+        p = product.decimal_value
     if any(m < 2 for m in ms):
         raise ValueError("all moduli must be >= 2")
     if p < 0:
@@ -200,11 +247,17 @@ def remainder_tree(p: int | Decimal, ms: list[int]) -> list[int]:
         return []
     if isinstance(p, int):
         p = to_decimal(p)
+    digits = ""  # P's digits, written out when a root first needs them
     out: list[int] = []
     with decimal.localcontext(_EXACT):
         for batch in _batches(ms, _batch_cap(p)):
             levels = list(_product_levels([Decimal(m) for m in batch]))
-            rems = [p % levels.pop()[0]]
+            root = levels.pop()[0]
+            if root.adjusted() + 1 < _BARRETT_DIGITS:
+                rems = [p % root]
+            else:
+                digits = digits or (product.digits if product else str(p.quantize(_ONE)))
+                rems = [_barrett_mod(digits, root)]
             while levels:
                 rems = [rems[i >> 1] % m for i, m in enumerate(levels.pop())]
             out += map(int, rems)
@@ -259,7 +312,7 @@ def batch_factor(ms: list[int], products: list[PrimeProduct]) -> list[SmoothSpli
     for (_, hi_prev), (lo_next, _) in zip(spans, spans[1:]):
         if lo_next != hi_prev:
             raise ValueError("prime ranges must be contiguous")
-    rems = [remainder_tree(pp.decimal_value, ms) for pp in products]
+    rems = [remainder_tree(pp, ms) for pp in products]
     out: list[SmoothSplit] = []
     for i, m in enumerate(ms):
         c_total, mm = 1, m

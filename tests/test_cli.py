@@ -233,7 +233,7 @@ def test_bench_checks_every_digit_count_before_proving(monkeypatch, capsys, digi
 
 PROGRESS = re.compile(r"step \d+ (?:round \d+ )?(\w+): (.*)")
 PROGRESS_KEYS = {
-    "roots": ["k", "budget", "expected_nprime", "roots"],
+    "roots": ["k", "budget", "expected_nprime", "pool", "roots"],
     "cornacchia": ["discs", "hits", "cornacchia"],
     "trialdiv": ["ms", "candidates", "trialdiv"],
     "phase2": ["D", "h", "outcome", "rootmod", "point"],

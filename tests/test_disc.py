@@ -8,7 +8,7 @@ import pytest
 
 from fastecpp import disc, prover
 from fastecpp.errors import CompositeDetected
-from fastecpp.numth import jacobi, sqrt_mod
+from fastecpp.numth import is_probable_prime, jacobi, sqrt_mod
 
 # ---------------------------------------------------------------------------
 # oracle: count reduced primitive forms the slow, direct way
@@ -209,6 +209,106 @@ def _roots_for(n: int, qstars: list[int]) -> dict[int, int]:
     return roots
 
 
+def enumerate_pool_discs_oracle(qstars, table, dmax, hmax, pmax, maxparts):
+    """The enumeration as a depth-first walk over positions of `qstars`:
+    each tuple i_1 < ... < i_r (at most one even signed prime, every
+    prefix within dmax) is visited before its extensions, then the list
+    is sorted stably by (h, -D)."""
+    dmax = min(dmax, table.dmax)
+    found = []
+
+    def consider(prod, parts):
+        if prod >= 0:
+            return
+        h = table.class_number(prod)
+        if h == 0 or h > hmax:
+            return
+        hfac = disc._factor_small(h)
+        if hfac and max(hfac) > pmax:
+            return
+        found.append(disc.Disc(prod, h, hfac, parts))
+
+    def extend(start, prod, parts, used_even):
+        if parts:
+            consider(prod, parts)
+        if len(parts) >= maxparts:
+            return
+        for i in range(start, len(qstars)):
+            qs = qstars[i]
+            if qs % 2 == 0 and used_even:
+                continue
+            if abs(prod * qs) > dmax:
+                continue
+            extend(i + 1, prod * qs, parts + (qs,), used_even or qs % 2 == 0)
+
+    extend(0, 1, (), False)
+    found.sort(key=lambda e: (e.h, -e.d))
+    return found
+
+
+def _fields(entries):
+    return [(e.d, e.h, e.hfac, e.parts) for e in entries]
+
+
+def _ranked(universe, entries):
+    rank_of = {qs: i for i, qs in enumerate(universe)}
+    return [(max(rank_of[q] for q in e.parts), e.d, e.parts) for e in entries]
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("maxparts", [1, 2, 3, 4])
+def test_enumeration_matches_oracle_on_stream_universes(env, seed, maxparts):
+    """Universes cut from `signed_prime_stream`, with its restart repeats:
+    the same entries in the same order, duplicates included, and the same
+    ranks and pools built from them."""
+    rng = random.Random(seed)
+    while True:
+        n = rng.randrange(10**30, 10**31) | 1
+        if is_probable_prime(n) and n % 8 == 1 and jacobi(-3, n) == 1:
+            break  # every even signed prime and -3 split
+    universe = signed_primes(n, rng.choice([100, 128, 160]))
+    assert universe.count(-3) == 2 and {-4, -8, 8} <= set(universe)
+    args = (env.table, 1 << 20, 64, 29, maxparts)
+    got = disc.enumerate_pool_discs(universe, *args)
+    expect = enumerate_pool_discs_oracle(universe, *args)
+    assert _fields(got) == _fields(expect)
+    assert len({e.parts for e in got}) < len(got)  # the repeats give duplicates
+    assert _ranked(universe, got) == _ranked(universe, expect)
+    roots = _roots_for(n, sorted(set(universe[:40]), key=universe.index))
+    assert [(e.d, e.parts, e.root) for e in disc.build_pool(n, got, roots)] == [
+        (e.d, e.parts, e.root) for e in disc.build_pool(n, expect, roots)]
+
+
+EVEN = [-4, -8, 8]
+ODD = [q for q in signed_prime_order_oracle(400) if q % 2]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_enumeration_matches_oracle_at_the_bounds(table2000, seed):
+    """Shuffled multisets of signed primes (both signs of 8 and -4, some
+    repeated), every maxparts from 1 to 4, and dmax, hmax and pmax at the
+    edges of their ranges, dmax above the table's included."""
+    rng = random.Random(100 + seed)
+    hs = table2000._h[table2000._h > 0]
+    universe = rng.sample(ODD, 30) + EVEN + rng.sample(ODD[:10] + EVEN, 6)
+    rng.shuffle(universe)
+    for maxparts in (1, 2, 3, 4):
+        for dmax in (3, 4, 7, 8, 100, 1999, 2000, 2001, 1 << 20):
+            for hmax in (1, 2, int(hs.max()) - 1, int(hs.max()), 200):
+                for pmax in (2, 3, 7, 1000):
+                    args = (table2000, dmax, hmax, pmax, maxparts)
+                    expect = _fields(enumerate_pool_discs_oracle(universe, *args))
+                    got = _fields(disc.enumerate_pool_discs(universe, *args))
+                    assert got == expect, (maxparts, dmax, hmax, pmax)
+
+
+def test_enumeration_edge_universes(table2000):
+    assert disc.enumerate_pool_discs([], table2000, 2000, 64, 29, 3) == []
+    assert disc.enumerate_pool_discs([5, 13], table2000, 2000, 64, 29, 3) == []  # D > 0 only
+    got = disc.enumerate_pool_discs([-3, -3, -4], table2000, 2000, 64, 29, 2)
+    assert [(e.d, e.parts) for e in got] == [(-3, (-3,)), (-3, (-3,)), (-4, (-4,))]
+
+
 def _pool(n, qstars, table, dmax, hmax, pmax, maxparts):
     entries = disc.enumerate_pool_discs(qstars, table, dmax, hmax, pmax, maxparts)
     return disc.build_pool(n, entries, _roots_for(n, qstars))
@@ -294,8 +394,6 @@ def test_build_pool_from_wider_enumeration(env):
 
 
 def test_pool_discs_jacobi_positive(table2000):
-    from fastecpp.numth import is_probable_prime
-
     rng = random.Random(6)
     done = 0
     while done < 5:

@@ -320,3 +320,34 @@ def test_mean_gain_tracks_log2b(cache_dir, env):
     assert cert.verify(c).accepted
     gains = report.bit_gains()
     assert sum(gains) / len(gains) >= config.b_bits
+
+
+def test_composite_nprime_that_passes_gives_up(monkeypatch, capsys, cache_dir, env):
+    """An intermediate N' gets fewer Miller-Rabin rounds than the subject.
+    If a composite N' passed them all, it becomes the next step's modulus:
+    the proof gives up there (exit 3) and no certificate is written."""
+    from fastecpp import cli
+    from fastecpp.numth import DETERMINISTIC_THRESHOLD
+
+    n = prover.first_probable_prime_after(10**40)
+    real = prover.is_probable_prime
+    faked = []
+
+    def passes_one_composite(m, rounds=64, rng=None):
+        result = real(m, rounds, rng)
+        if not result and not faked and m >= DETERMINISTIC_THRESHOLD:
+            faked.append(m)
+            return True
+        return result
+
+    monkeypatch.setattr(prover, "is_probable_prime", passes_one_composite)
+    config = prover.ProveConfig(seed=0, cache_dir=cache_dir)
+    with pytest.raises(GiveUp):
+        prover.prove(n, config, env)
+    assert len(faked) == 1 and faked[0] < n and not real(faked[0])
+
+    faked.clear()
+    assert cli.main(["prove", str(n), "--quiet", "--cache-dir", cache_dir]) == 3
+    captured = capsys.readouterr()
+    assert len(faked) == 1
+    assert captured.out == "" and "give-up:" in captured.err and "composite:" not in captured.err

@@ -4,7 +4,7 @@ import math
 import mpmath
 import pytest
 
-from fastecpp import stats
+from fastecpp import numth, stats
 
 E_GAMMA = math.exp(stats.EULER_GAMMA)
 
@@ -130,7 +130,7 @@ def test_mr_rounds_schedule_meets_the_bound(bits):
         limit = mp.mpf(2) ** -33 / bits
         total = mp.mpf(0)
         for k in range(2, bits + 1):
-            t = stats._mr_rounds(k, bits)
+            t = numth.mr_rounds(k, bits)
             smallest = next(
                 (s for s in range(3, k // 9 + 1) if _dlp_bound(mp, k, s) <= limit), None)
             if smallest is None:
@@ -140,7 +140,7 @@ def test_mr_rounds_schedule_meets_the_bound(bits):
             total += _dlp_bound(mp, k, t)
         assert total <= mp.mpf(2) ** -33, (bits, total)
     if bits == 256:
-        assert [stats._mr_rounds(k, 256) for k in (98, 99, 153, 180, 181, 222, 223, 256)] == [
+        assert [numth.mr_rounds(k, 256) for k in (98, 99, 153, 180, 181, 222, 223, 256)] == [
             17, 11, 6, 6, 5, 5, 4, 4]
 
 

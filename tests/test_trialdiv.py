@@ -229,6 +229,59 @@ def test_remainder_tree_oracle_leaf_counts(per_batch):
         _tree_matches_oracle(pp, ms)
 
 
+def _digits(rng: random.Random, k: int) -> int:
+    """A random integer of exactly k decimal digits."""
+    return rng.randrange(10 ** (k - 1), 10**k)
+
+
+def _root_cases() -> list[tuple[int, list[int]]]:
+    """(P, moduli) around the Barrett cutoff of the root reduction."""
+    rng = random.Random(21)
+    k = trialdiv._BARRETT_DIGITS
+    p = _digits(rng, 10 * k + 123)
+    cases = [(p, [_digits(rng, d)]) for d in (k - 1, k, k + 1)]      # below, at, above
+    cases += [(_digits(rng, 7 * k), [_digits(rng, k)]),               # P = 7 chunks exactly
+              (_digits(rng, k), [_digits(rng, k)]),                   # P = one chunk
+              (_digits(rng, k + 10), [_digits(rng, k + 100)]),        # root above P
+              (10 ** (k + 5) + 7, [10 ** (k + 5) + 8])]               # root just above P
+    cases += [(p, [10**e]) for e in (k - 1, k, k + 1)]                # 10^e: e + 1 digits
+    cases += [(p, [10**e - 1]) for e in (k - 1, k, k + 1)]            # e nines
+    # a two-leaf root above the cutoff whose leaves lie below it
+    cases.append((p, [_digits(rng, k // 2 + 1), _digits(rng, k // 2 + 1)]))
+    return cases
+
+
+@pytest.mark.parametrize("case", range(len(_root_cases())))
+def test_remainder_tree_root_reduction(case):
+    """The root reduction around its cutoff: equal to p % m for an int P
+    and for its Decimal copy."""
+    p, ms = _root_cases()[case]
+    expect = [p % m for m in ms]
+    assert trialdiv.remainder_tree(p, ms) == expect
+    assert trialdiv.remainder_tree(trialdiv.to_decimal(p), ms) == expect
+
+
+def test_remainder_tree_root_of_a_sample_batch(product_2_20):
+    """A root of about 373 kbits, as in a batch of the 10k-sample, against
+    the product of the primes below 2^20, from each form of P."""
+    rng = random.Random(22)
+    pp = product_2_20
+    ms = [rng.getrandbits(256) | (1 << 255) | 1 for _ in range(1460)]
+    assert len(trialdiv._batches(ms, trialdiv._batch_cap(pp.decimal_value))) == 1
+    assert 372_000 < math.prod(ms).bit_length() < 374_000
+    expect = [pp.value % m for m in ms]
+    for p in (pp, pp.decimal_value, pp.value):
+        assert trialdiv.remainder_tree(p, ms) == expect
+
+
+def test_remainder_tree_integral_decimal_with_exponent():
+    """An integral Decimal P written with a positive exponent."""
+    k = trialdiv._BARRETT_DIGITS
+    m = 10**k + 12345
+    p = Decimal((0, (1, 7), 2 * k))  # 17 * 10^2k
+    assert trialdiv.remainder_tree(p, [m, 3]) == [17 * 10 ** (2 * k) % m, 17 * 10 ** (2 * k) % 3]
+
+
 def test_batch_factor_leaves_caller_context_alone():
     """A low-precision caller context with no traps neither leaks into
     the tree nor is changed by it."""
