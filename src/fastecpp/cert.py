@@ -153,7 +153,10 @@ def serialize(cert: Certificate) -> str:
 def _parse_int(token: str, lineno: int, what: str) -> int:
     if not _INT_RE.match(token):
         raise CertificateFormatError(f"non-canonical integer for {what}: {token!r}", lineno)
-    return int(token)
+    try:
+        return int(token)
+    except ValueError:  # longer than the interpreter's int(str) digit limit
+        raise CertificateFormatError(f"integer of {len(token)} digits for {what}", lineno) from None
 
 
 def parse(text: str) -> Certificate:

@@ -177,36 +177,30 @@ def class_number_table(dmax: int) -> ClassNumberTable:
 
 
 def signed_prime_stream(n: int) -> Iterator[int]:
-    """Signed primes q* with (q*|n) = +1, by increasing |q*|.
+    """Signed primes q* with (q*|n) = +1, each once, by non-decreasing |q*|.
 
     A signed prime is a prime discriminant factor: -4, 8, -8, or q* = q
     for an odd prime q = 1 (mod 4) and -q for q = 3 (mod 4), so q* is
-    always 0 or 1 mod 4.
-
-    Ties at |q*| = 8 are broken as -8 before 8.  A q* with (q*|n) = 0 and
-    gcd giving a proper divisor of n raises CompositeDetected.
+    always 0 or 1 mod 4.  The order is -3, -4, 5, -7, -8, 8, -11, ...:
+    ties at |q*| = 8 are broken as -8 before 8.  The sieve runs over
+    (lo, hi] and then continues over (hi, 4 hi], so no prime comes twice.
+    A q* with (q*|n) = 0 and gcd giving a proper divisor of n raises
+    CompositeDetected.
     """
-    bound = 1 << 10
-    emitted_specials = False
+    lo, hi = 2, 1 << 10
     while True:
-        primes = trialdiv.primes_up_to(bound)
-        for p in primes:
-            p = int(p)
-            if p == 2:
-                continue
-            qstars = [p if p % 4 == 1 else -p]
-            if not emitted_specials and p > 8:
-                qstars = [-4, -8, 8] + qstars
-                emitted_specials = True
-            for qs in qstars:
-                j = jacobi(qs, n)
-                if j == 1:
-                    yield qs
-                elif j == 0:
-                    g = math.gcd(abs(qs), n)
-                    if 1 < g < n:
-                        raise CompositeDetected("small-prime-factor", factor=g, n=n)
-        bound *= 4
+        qstars = [p if p % 4 == 1 else -p for p in trialdiv.primes_in_range(lo, hi)]
+        if lo < 8:
+            qstars = sorted(qstars + [-4, -8, 8], key=lambda q: (abs(q), q))
+        for qs in qstars:
+            j = jacobi(qs, n)
+            if j == 1:
+                yield qs
+            elif j == 0:
+                g = math.gcd(abs(qs), n)
+                if 1 < g < n:
+                    raise CompositeDetected("small-prime-factor", factor=g, n=n)
+        lo, hi = hi, 4 * hi
 
 
 def _factor_small(m: int) -> tuple[int, ...]:
@@ -246,67 +240,56 @@ def enumerate_pool_discs(
 ) -> list[Disc]:
     """All fundamental D buildable from the given signed primes.
 
-    Products of the signed primes at up to `maxparts` distinct positions
-    of `qstars`, restricted to |D| <= dmax, h(D) <= hmax and max prime of
-    h(D) <= pmax.  (Two even signed primes never meet in one D: their
-    product is divisible by 16, so D is not fundamental.)  Sorted by
-    ascending class number, then |D|: small h makes the
-    curve-construction phase cheap.  Ties keep the order of a depth-first
-    walk over the positions (a tuple before its extensions), so a signed
-    prime that occurs twice in `qstars` gives its discriminants twice.
+    `qstars` are distinct signed primes by non-decreasing |q*|, as
+    `signed_prime_stream` yields them.  The result holds the products of
+    up to `maxparts` of them, restricted to |D| <= dmax, h(D) <= hmax and
+    max prime of h(D) <= pmax.  (Two even signed primes never meet in one
+    D: their product is divisible by 16, so D is not fundamental.)  Each
+    D comes from one set of signed primes, so sorting by ascending class
+    number, then |D|, is a total order: small h makes the
+    curve-construction phase cheap.
 
     The position tuples are built in numpy one part at a time: a tuple
     ending at position i with product p extends by every k > i with
-    |p q*_k| <= dmax.  Within a run of non-decreasing |q*| those k form a
-    range found by binary search, so no array grows with |qstars|^2; the
-    new tuples are made in blocks of at most `_TUPLE_BLOCK`, or the
-    extensions of one tuple.  h(D) comes from the table and its factors
-    from a per-h table; one `np.lexsort` on (h, -D, positions) restores
-    the order.
+    |p q*_k| <= dmax, a range found by one binary search in the sorted
+    |q*|, so no array grows with |qstars|^2; the new tuples are made in
+    blocks of at most `_TUPLE_BLOCK`, or the extensions of one tuple.
+    h(D) comes from the table and its factors from a per-h table.
     """
     dmax = min(dmax, table.dmax)
     hmax = min(hmax, table.max_h)
     q = np.array(qstars, dtype=np.int64)
     size = np.abs(q)
-    cuts = (np.flatnonzero(size[1:] < size[:-1]) + 1).tolist()
-    starts = np.array([0, *cuts])
-    runs = list(zip(starts.tolist(), [*cuts, q.size]))
     hfac = [_factor_small(h) for h in range(hmax + 1)]
     h_ok = np.array([h > 0 and all(p <= pmax for p in f) for h, f in enumerate(hfac)] + [False])
-    found_pos, found_d, found_parts = [], [], []   # accepted tuples, by extend call
+    found_d, found_parts = [], []   # accepted tuples, by extend call
 
     def extend(pos: np.ndarray, last: np.ndarray, prod: np.ndarray) -> None:
         """Keep the accepted tuples among `pos`, then extend every tuple."""
         neg = np.flatnonzero(prod < 0)
         keep = neg[h_ok[np.minimum(table._h[-prod[neg]], hmax + 1)]]
-        found_pos.append(np.pad(pos[keep], ((0, 0), (0, maxparts - pos.shape[1])),
-                                constant_values=-1))
         found_d.append(prod[keep])
         found_parts.extend(zip(*(q[col].tolist() for col in pos[keep].T)))
         if pos.shape[1] == maxparts:
             return
-        # per tuple and run, the range of positions k it extends by
-        bound = dmax // np.abs(prod)
-        lo = np.maximum(last[:, None] + 1, starts)
-        hi = np.column_stack([s + np.searchsorted(size[s:e], bound, side="right")
-                              for s, e in runs])
-        count = np.maximum(hi - lo, 0)
-        ends = np.cumsum(count.sum(axis=1))
+        # per tuple, the range of positions k it extends by
+        lo = last + 1
+        count = np.maximum(np.searchsorted(size, dmax // np.abs(prod), side="right") - lo, 0)
+        ends = np.cumsum(count)
         a = 0
         while a < len(prod):
             done = ends[a - 1] if a else 0
             b = max(a + 1, int(np.searchsorted(ends, done + _TUPLE_BLOCK, side="right")))
-            row, k = _expand_ranges(lo[a:b].ravel(), count[a:b].ravel())
-            parent = a + row // len(runs)
+            row, k = _expand_ranges(lo[a:b], count[a:b])
+            parent = a + row
             extend(np.column_stack((pos[parent], k)), k, prod[parent] * q[k])
             a = b
 
     # from the empty tuple: no position, product 1
     extend(np.empty((1, 0), dtype=np.int64), np.array([-1]), np.ones(1, dtype=np.int64))
-    pos = np.concatenate(found_pos)
     d = np.concatenate(found_d)
     h = table._h[-d]
-    order = np.lexsort((*pos.T[::-1], -d, h))
+    order = np.lexsort((-d, h))
     hs = h[order].tolist()
     return list(map(Disc, d[order].tolist(), hs, map(hfac.__getitem__, hs),
                     map(found_parts.__getitem__, order.tolist())))
@@ -317,16 +300,14 @@ def build_pool(n: int, entries: list[Disc], roots: dict[int, int]) -> list[Disc]
 
     `entries` is an `enumerate_pool_discs` list, possibly over a wider set
     of signed primes than `roots`, which maps qstar -> square root of qstar
-    mod n.  The pool keeps, in the order of `entries`, the first entry for
-    each D whose parts all have roots, and attaches root = product of the
-    component roots, so root^2 = D (mod n) by construction.
+    mod n.  The pool keeps, in the order of `entries`, each entry whose
+    parts all have roots, and attaches root = product of the component
+    roots, so root^2 = D (mod n) by construction.
     """
     pool: list[Disc] = []
-    seen: set[int] = set()
     for entry in entries:
-        if entry.d in seen or any(qs not in roots for qs in entry.parts):
+        if any(qs not in roots for qs in entry.parts):
             continue
-        seen.add(entry.d)
         r = 1
         for qs in entry.parts:
             r = r * roots[qs] % n

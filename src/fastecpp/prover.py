@@ -10,6 +10,7 @@ master seed, so a certificate depends only on (n, config).
 
 import contextlib
 import hashlib
+import itertools
 import math
 import os
 import random
@@ -224,27 +225,21 @@ def expected_candidates(entries: list[disc.Disc], bits: int, b: int) -> float:
     return sum((_survivor_weight(e.d, bits, b) for e in entries), 0.0)
 
 
-def choose_k(
-    n: int,
-    pool: list[tuple[int, disc.Disc]],
-    rnd: int,
-    b: int,
-) -> tuple[int, bool]:
-    """Minimal signed-prime budget k reaching the expected-survivor target.
+def choose_k(n: int, pool: list[tuple[int, disc.Disc]], b: int) -> tuple[int, bool]:
+    """Minimal signed-prime budget k reaching 3 expected survivors.
 
     `pool` pairs each candidate discriminant with its rank: the highest
     position among its signed primes in the split-prime ordering.  The
-    target is 3 expected survivors in round 1 (so there is some choice)
-    and 1 in later rounds.  Returns (k, exhausted); when even the whole
-    pool falls short, k covers all of it and exhausted is True.
+    target of 3 leaves some choice among the survivors.  Returns
+    (k, exhausted); when even the whole pool falls short, k covers all of
+    it and exhausted is True.
     """
     bits = n.bit_length()
-    threshold = 3.0 if rnd <= 1 else 1.0
     by_rank = sorted(pool, key=lambda re: re[0])
     acc = 0.0
     for rank, entry in by_rank:
         acc += _survivor_weight(entry.d, bits, b)
-        if acc >= threshold:
+        if acc >= 3.0:
             return rank + 1, False
     max_rank = by_rank[-1][0] if by_rank else 0
     return max_rank + 1, True
@@ -360,7 +355,13 @@ class Environment:
         return poly
 
 
-_UNIVERSE_CAP = 4096
+# Most signed primes a step's universe holds; the rounds double the budget
+# up to it.  With each signed prime counted once, the 3-survivor target is
+# out of reach at 665 bits, so the first prime after 10^200 roots the whole
+# universe at most steps: a cap of 4096 made that prove take 30 s against
+# 8-11 s (2-core machine, CPython 3.11).  128 keeps it at par, and its
+# pools still hold more distinct D than the repeating stream reached.
+_UNIVERSE_CAP = 128
 
 
 def run_step(
@@ -375,15 +376,22 @@ def run_step(
     """One downrun step: find (D, t, m = c * N'), then the curve and point.
 
     Substeps: the discriminant pool and the signed-prime budget k,
-    split-prime square roots, Cornacchia over every reachable pool
-    discriminant, batched trial division with the quartic-root floor,
+    split-prime square roots, Cornacchia over the pool discriminants new
+    to the round, batched trial division with the quartic-root floor,
     Miller-Rabin by ascending N' keeping the smallest survivor, then the
-    class polynomial, a root mod N, and a point of order N'.  Rounds widen
-    the signed-prime budget until the cap, then GiveUp.  The pool is
-    enumerated once per universe size and reused by later rounds.
-    Each substep is timed under its name in `report` (the tables under
-    `setup`), and each round prints one progress line per substep but
-    `pool`, whose time the `roots` line shows.
+    class polynomial, a root mod N, and a point of order N'.
+
+    The budget rule: k is chosen once per step, as the fewest signed
+    primes whose discriminants reach 3 expected survivors (`choose_k`),
+    doubling the universe from 16 until they do or it reaches
+    `_UNIVERSE_CAP`.  Round r uses the first min(k * 2^(r-1),
+    `_UNIVERSE_CAP`) signed primes, growing the universe to them, and
+    tries the discriminants reachable with them but not with the previous
+    round's.  A round that cannot widen the budget gives up at once, as
+    does the round after `config.round_cap`.  Each substep is timed under
+    its name in `report` (the tables under `setup`), and each round prints
+    one progress line per substep but `pool`, whose time the `roots` line
+    shows.
 
     Each N' gets the `mr_rounds` count for its size, not the subject's
     64, drawn from the same RNG, so the kept candidate only differs when a
@@ -399,55 +407,53 @@ def run_step(
     stream = disc.signed_prime_stream(n)
     universe: list[int] = []
     roots: dict[int, int] = {}
-    tried: set[int] = set()
-    budget_prev = 0
-    entries: list[disc.Disc] = []   # the pool over the whole universe
-    ranked: list[tuple[int, disc.Disc]] = []
-    enumerated = 0                   # universe size `entries` was built for
+    ranked: list[tuple[int, disc.Disc]] = []   # the universe's pool, with ranks
+    budget = 0
 
-    def ensure_universe(count: int) -> None:
-        while len(universe) < min(count, _UNIVERSE_CAP):
-            universe.append(next(stream))
+    def grow_universe(count: int) -> None:
+        """Extend the universe to `count` signed primes and enumerate its pool."""
+        nonlocal ranked
+        if len(universe) >= count:
+            return
+        universe.extend(itertools.islice(stream, count - len(universe)))
+        rank_of = {qs: i for i, qs in enumerate(universe)}
+        entries = disc.enumerate_pool_discs(
+            universe, table, params.dmax, params.hmax, params.pmax, params.maxparts
+        )
+        ranked = [(max(rank_of[q] for q in e.parts), e) for e in entries]
 
     for rnd in range(1, config.round_cap + 1):
         stats.rounds = rnd
         # --- substep 1: the pool, k, and square roots --------------------
         with report.timed("pool"):
-            ensure_universe(16)
-            while True:
-                if enumerated != len(universe):
-                    enumerated = len(universe)
-                    rank_of = {qs: i for i, qs in enumerate(universe)}
-                    entries = disc.enumerate_pool_discs(
-                        universe, table, params.dmax, params.hmax, params.pmax, params.maxparts
-                    )
-                    ranked = [(max(rank_of[q] for q in e.parts), e) for e in entries]
-                k, exhausted = choose_k(n, ranked, rnd, params.b)
-                if not exhausted or len(universe) >= _UNIVERSE_CAP:
-                    break
-                ensure_universe(len(universe) * 2)
+            if rnd == 1:
+                grow_universe(16)
+                k, exhausted = choose_k(n, ranked, params.b)
+                while exhausted and len(universe) < _UNIVERSE_CAP:
+                    grow_universe(min(2 * len(universe), _UNIVERSE_CAP))
+                    k, exhausted = choose_k(n, ranked, params.b)
+            start, budget = budget, min(k << (rnd - 1), _UNIVERSE_CAP)
+            if budget == start:
+                raise GiveUp(f"round {rnd} cannot widen the signed-prime budget {budget} "
+                             f"for N with {params.bits} bits")
+            grow_universe(budget)
         with report.timed("roots"):
-            budget = min(max(k, 2 * budget_prev), len(universe))
-            budget_prev = budget
-            for qs in universe[:budget]:
-                if qs not in roots:
-                    r = sqrt_mod(qs, n)
-                    if r is None:
-                        raise CompositeDetected("sqrt-failed-for-residue", n=n)
-                    roots[qs] = r
-            reachable = [e for rank, e in ranked if rank < budget]
-            stats.expected = expected_candidates(reachable, params.bits, params.b)
+            for qs in universe[start:budget]:
+                r = sqrt_mod(qs, n)
+                if r is None:
+                    raise CompositeDetected("sqrt-failed-for-residue", n=n)
+                roots[qs] = r
+            reachable = [(rank, e) for rank, e in ranked if rank < budget]
+            stats.pool_size = len(reachable)
+            stats.expected = expected_candidates([e for _, e in reachable], params.bits, params.b)
         head = f"step {step_index} round {rnd}"
         report.progress(f"{head} roots", "pool", "roots", k=k, budget=budget,
                         expected_nprime=f"{stats.expected:.2f}")
 
-        # --- substep 2: Cornacchia over all new reachable discriminants --
+        # --- substep 2: Cornacchia over the round's new discriminants ----
         with report.timed("cornacchia"):
-            # `roots` holds exactly the signed primes of universe[:budget]
-            pool = disc.build_pool(n, entries, roots)
-            stats.pool_size = len(pool)
-            fresh = [e for e in pool if e.d not in tried]
-            tried.update(e.d for e in fresh)
+            # the earlier rounds tried every discriminant of rank < start
+            fresh = disc.build_pool(n, [e for rank, e in reachable if rank >= start], roots)
             hits = []
             for e in fresh:
                 tv = cornacchia(n, e.d, e.root)

@@ -114,6 +114,16 @@ def test_parse_rejects_non_canonical_integers(golden_text):
         cert.parse(cert.serialize(c).replace(f"terminal {c.terminal}", "terminal +7"))
 
 
+def test_parse_rejects_integer_above_digit_limit(golden_text):
+    """int(str) refuses more than 4300 digits by default; the parser turns
+    that into a format error on the field's line, not a ValueError."""
+    c = cert.parse(golden_text)
+    text = cert.serialize(c).replace(f"terminal {c.terminal}", "terminal " + "1" * 5000)
+    with pytest.raises(CertificateFormatError) as exc:
+        cert.parse(text)
+    assert exc.value.line == 3 + len(c.steps) and "terminal" in str(exc.value)
+
+
 def test_parse_rejects_step_count_mismatch(golden_text):
     with pytest.raises(CertificateFormatError):
         cert.parse(golden_text.replace("steps 1", "steps 2"))

@@ -179,6 +179,16 @@ def test_verify_non_ascii_file_exits_2(tmp_path, capsys):
     assert "REJECT" not in captured.out
 
 
+def test_verify_overlong_integer_exits_2(tmp_path, capsys, golden_text):
+    path = tmp_path / "long.txt"
+    terminal = golden_text.splitlines()[-1]
+    path.write_text(golden_text.replace(terminal, "terminal " + "1" * 5000), encoding="ascii")
+    assert run_cli(["verify", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("parse error: ") and "Traceback" not in captured.err
+    assert "REJECT" not in captured.out
+
+
 def test_stats_command(capsys, tmp_path):
     assert run_cli(["stats"]) == 0
     out = capsys.readouterr().out

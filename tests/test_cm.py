@@ -151,9 +151,10 @@ def test_class_poly_cache_rejects_damaged_files(tmp_path, table2000):
 
 
 # SHA-256 of the decimal coefficients joined by spaces, for every D of the
-# pinned certificates, one h = 64 discriminant and the 12 D of the chain of
-# the first prime after 10^200; all were recorded from the evaluation of j
-# by theta constants, before H_D was recovered from gamma2.
+# pinned certificates and of the earlier 10^100 chain (-2712 to -39), one
+# h = 64 discriminant and the 12 D of the chain of the first prime after
+# 10^200; all were recorded from the evaluation of j by theta constants,
+# before H_D was recovered from gamma2.
 CLASS_POLY_DIGESTS = {
     -1235: "a1b108b77615a15c2ed081dae3e221207f60a8204a646da0b2c210ab69823164",
     -87235: "d33ca40ffbe1b750bc9fbb82755bd82383b8444f6e53d842b96ab38e9593ad38",
@@ -164,6 +165,10 @@ CLASS_POLY_DIGESTS = {
     -20708: "49cd5f4a682fde36b24b3dcb2ed44eace86f16539ace0abc3083a9740c2b51a7",
     -76867: "06bc921515cba1e26cb14135dbb9ff4616fffbd439759887855fd240b68dcda6",
     -39: "13cf821aa98ef9c53e0d19672481609b517fa2e03192fe9ebf8de82238ce2100",
+    -1187: "98d75012b0005dd65a96f6db683efe19d8489a5f0ca186634aab2b16489c54c6",
+    -1691: "9cc72e974e685c7d8d6fe3c10222dea7605b52f8a74080076554f73489ec2f3e",
+    -1435: "cf5af9e5f3b3784178fe28e4ac08874eb8e5df52563460d1b60fa36b361e6e19",
+    -1595: "491ef8c93e6408d510417047d34fa6c74c2de4949ab1b85b6be2260b168c1d73",
     -24932: "52e3c030fd84a98b23440adff983b0f40801121e267dec27d2950764488e0a32",
     -427: "9a217957bbb1ccfff7eaf2951889c748087adb78c53717d89126982a35782996",
     -151: "8a064b3b8e9f29960a26aea9e1b94011a8bd7bb9786a2a71916a27c61436553b",
@@ -244,7 +249,8 @@ def test_gamma2_path_matches_j_path(discs2000):
 
 def test_j_path_first_attempt_matches_a_wider_guard(monkeypatch, discs2000):
     """For every fundamental D with 3 | D and |D| <= 2000, and the 3 | D
-    discriminants of the pinned chains, H_D from j at the guard h + 32
+    discriminants of the pinned chains (the earlier 10^100 chain's
+    included), H_D from j at the guard h + 32
     succeeds at the first attempt with the coefficients of the guard
     10h + 64."""
     real = cm._expand

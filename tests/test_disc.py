@@ -190,6 +190,20 @@ def test_signed_primes_qstar_congruence():
         assert prime_of(qs) == 2 or prime_of(qs) == abs(qs)
 
 
+@pytest.mark.parametrize("n", [10**30 + 57, 2**127 - 1, 1000003, 10**12 + 39])
+def test_signed_primes_once_each_across_sieve_bounds(n):
+    """The first 600 signed primes reach past the sieve bounds 1024 and
+    4096: each comes once, by non-decreasing |q*| with -8 before 8, and
+    they are the oracle's order filtered by (q*|n) = 1."""
+    got = signed_primes(n, 600)
+    assert abs(got[-1]) > 4096
+    assert len(set(got)) == len(got)
+    assert [abs(q) for q in got] == sorted(abs(q) for q in got)
+    if -8 in got and 8 in got:
+        assert got.index(-8) + 1 == got.index(8)
+    assert got == [q for q in signed_prime_order_oracle(abs(got[-1]) + 1) if jacobi(q, n) == 1]
+
+
 def test_signed_primes_composite_shortcut():
     with pytest.raises(CompositeDetected) as exc:
         signed_primes(3 * 1000003, 5)
@@ -258,23 +272,23 @@ def _ranked(universe, entries):
 @pytest.mark.parametrize("seed", range(4))
 @pytest.mark.parametrize("maxparts", [1, 2, 3, 4])
 def test_enumeration_matches_oracle_on_stream_universes(env, seed, maxparts):
-    """Universes cut from `signed_prime_stream`, with its restart repeats:
-    the same entries in the same order, duplicates included, and the same
-    ranks and pools built from them."""
+    """Universes cut from `signed_prime_stream`, each signed prime once:
+    the same entries in the same order, one per D, and the same ranks and
+    pools built from them."""
     rng = random.Random(seed)
     while True:
         n = rng.randrange(10**30, 10**31) | 1
         if is_probable_prime(n) and n % 8 == 1 and jacobi(-3, n) == 1:
             break  # every even signed prime and -3 split
     universe = signed_primes(n, rng.choice([100, 128, 160]))
-    assert universe.count(-3) == 2 and {-4, -8, 8} <= set(universe)
+    assert len(set(universe)) == len(universe) and {-3, -4, -8, 8} <= set(universe)
     args = (env.table, 1 << 20, 64, 29, maxparts)
     got = disc.enumerate_pool_discs(universe, *args)
     expect = enumerate_pool_discs_oracle(universe, *args)
     assert _fields(got) == _fields(expect)
-    assert len({e.parts for e in got}) < len(got)  # the repeats give duplicates
+    assert len({e.d for e in got}) == len({e.parts for e in got}) == len(got)
     assert _ranked(universe, got) == _ranked(universe, expect)
-    roots = _roots_for(n, sorted(set(universe[:40]), key=universe.index))
+    roots = _roots_for(n, universe[:40])
     assert [(e.d, e.parts, e.root) for e in disc.build_pool(n, got, roots)] == [
         (e.d, e.parts, e.root) for e in disc.build_pool(n, expect, roots)]
 
@@ -285,13 +299,13 @@ ODD = [q for q in signed_prime_order_oracle(400) if q % 2]
 
 @pytest.mark.parametrize("seed", range(6))
 def test_enumeration_matches_oracle_at_the_bounds(table2000, seed):
-    """Shuffled multisets of signed primes (both signs of 8 and -4, some
-    repeated), every maxparts from 1 to 4, and dmax, hmax and pmax at the
-    edges of their ranges, dmax above the table's included."""
+    """Random sets of signed primes (both signs of 8 and -4), sorted by
+    |q*| as the stream yields them, every maxparts from 1 to 4, and dmax,
+    hmax and pmax at the edges of their ranges, dmax above the table's
+    included."""
     rng = random.Random(100 + seed)
     hs = table2000._h[table2000._h > 0]
-    universe = rng.sample(ODD, 30) + EVEN + rng.sample(ODD[:10] + EVEN, 6)
-    rng.shuffle(universe)
+    universe = sorted(rng.sample(ODD, 30) + EVEN, key=lambda q: (abs(q), q))
     for maxparts in (1, 2, 3, 4):
         for dmax in (3, 4, 7, 8, 100, 1999, 2000, 2001, 1 << 20):
             for hmax in (1, 2, int(hs.max()) - 1, int(hs.max()), 200):
@@ -305,8 +319,8 @@ def test_enumeration_matches_oracle_at_the_bounds(table2000, seed):
 def test_enumeration_edge_universes(table2000):
     assert disc.enumerate_pool_discs([], table2000, 2000, 64, 29, 3) == []
     assert disc.enumerate_pool_discs([5, 13], table2000, 2000, 64, 29, 3) == []  # D > 0 only
-    got = disc.enumerate_pool_discs([-3, -3, -4], table2000, 2000, 64, 29, 2)
-    assert [(e.d, e.parts) for e in got] == [(-3, (-3,)), (-3, (-3,)), (-4, (-4,))]
+    got = disc.enumerate_pool_discs([-3, -4], table2000, 2000, 64, 29, 2)
+    assert [(e.d, e.parts) for e in got] == [(-3, (-3,)), (-4, (-4,))]
 
 
 def _pool(n, qstars, table, dmax, hmax, pmax, maxparts):
@@ -372,17 +386,16 @@ def test_build_pool_deterministic(table2000):
 
 
 def test_build_pool_from_wider_enumeration(env):
-    """A pool cut from an enumeration over a wider signed-prime list (with
-    the stream's repeats) equals the pool enumerated from the roots' own
-    signed primes, in order and in (d, h, hfac, root)."""
+    """A pool cut from an enumeration over a wider signed-prime list equals
+    the pool enumerated from the roots' own signed primes, in order and in
+    (d, h, hfac, root)."""
     n = 10**20 + 39
     table = env.table
-    stream = disc.signed_prime_stream(n)
-    universe = [next(stream) for _ in range(128)]
-    assert len(set(universe)) < len(universe)  # the stream repeats primes
+    universe = signed_primes(n, 128)
+    assert len(set(universe)) == len(universe)  # no signed prime repeats
     entries = disc.enumerate_pool_discs(universe, table, 1 << 20, 64, 29, 3)
     for budget in (1, 5, 16, 40, 90, 128):
-        own = sorted(set(universe[:budget]), key=lambda q: (abs(q), q))
+        own = universe[:budget]
         roots = _roots_for(n, own)
         expect = disc.build_pool(
             n, disc.enumerate_pool_discs(own, table, 1 << 20, 64, 29, 3), roots

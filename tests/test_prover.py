@@ -1,5 +1,6 @@
 import os
 import random
+import re
 import shutil
 import time
 
@@ -45,19 +46,22 @@ def test_choose_k_thresholds():
     n = (1 << 1000) + 9
     entry = disc.Disc(-3, 1, (), (-3,))
     # a single reachable discriminant can never reach the target
-    k, exhausted = prover.choose_k(n, [(0, entry)], 1, 1 << 20)
+    k, exhausted = prover.choose_k(n, [(0, entry)], 1 << 20)
     assert exhausted and k == 1
-    # large pool: round 1 needs about 3x more mass than later rounds
+    # large pool, listed out of rank order: k is the fewest ranks whose
+    # discriminants reach 3 expected survivors
     pool = [(i, disc.Disc(-3 - 4 * i, 1, (), ())) for i in range(4000)]
-    pool = [(i, e) for i, e in pool]
-    k1, ex1 = prover.choose_k(n, pool, 1, 1 << 20)
-    k2, ex2 = prover.choose_k(n, pool, 2, 1 << 20)
-    assert not ex1 and not ex2
-    assert k1 > k2 >= 1
+    k, exhausted = prover.choose_k(n, pool[::-1], 1 << 20)
+    assert not exhausted
+
+    def mass(ranks):
+        return prover.expected_candidates([e for r, e in pool if r < ranks], 1001, 1 << 20)
+
+    assert mass(k - 1) < 3.0 <= mass(k)
 
 
 def test_choose_k_empty_pool():
-    k, exhausted = prover.choose_k((1 << 100) + 3, [], 1, 1 << 20)
+    k, exhausted = prover.choose_k((1 << 100) + 3, [], 1 << 20)
     assert exhausted and k == 1
 
 
@@ -301,6 +305,26 @@ def test_give_up_on_starved_config(env):
         n = prover.first_probable_prime_after(n)
     with pytest.raises(GiveUp):
         prover.prove(n, config)
+
+
+def test_rounds_double_the_budget_then_give_up(monkeypatch, capsys, env):
+    """With every phase 2 failing, each round doubles the signed-prime
+    budget up to the universe cap and tries new discriminants; the first
+    round that cannot widen the budget gives up at once."""
+    monkeypatch.setattr(prover, "_phase2", lambda *args: None)
+    config = prover.ProveConfig(seed=0, round_cap=6, verbose=True,
+                                cache_dir=env.config.cache_dir)
+    n = prover.first_probable_prime_after(10**30)
+    with pytest.raises(GiveUp, match="cannot widen"):
+        prover.prove(n, config, env)
+    err = capsys.readouterr().err
+    k = [int(x) for x in re.findall(r"round 1 roots: k=(\d+)", err)]
+    budgets = [int(x) for x in re.findall(r"roots: k=\d+ budget=(\d+)", err)]
+    discs = [int(x) for x in re.findall(r"cornacchia: discs=(\d+)", err)]
+    expect = [min(k[0] << r, prover._UNIVERSE_CAP) for r in range(len(budgets))]
+    assert budgets == expect and budgets[-1] == prover._UNIVERSE_CAP
+    assert len(budgets) < config.round_cap  # a round was left when it gave up
+    assert len(discs) == len(budgets) and min(discs) > 0
 
 
 def test_first_probable_prime_after():
