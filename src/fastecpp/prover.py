@@ -355,13 +355,16 @@ class Environment:
         return poly
 
 
-# Most signed primes a step's universe holds; the rounds double the budget
-# up to it.  With each signed prime counted once, the 3-survivor target is
-# out of reach at 665 bits, so the first prime after 10^200 roots the whole
-# universe at most steps: a cap of 4096 made that prove take 30 s against
-# 8-11 s (2-core machine, CPython 3.11).  128 keeps it at par, and its
-# pools still hold more distinct D than the repeating stream reached.
-_UNIVERSE_CAP = 128
+# Most signed primes round 1 grows the universe to while looking for k.
+# With each signed prime counted once, the 3-survivor target is out of reach
+# at 665 bits, so without this bound the first prime after 10^200 grew round
+# 1's universe to 4096 at most steps and took 30 s against 8-11 s (2-core
+# machine, CPython 3.11); at 128 it stays at par.  Later rounds, which run
+# only after a round found no step, are not bound by it.
+_FIRST_ROUND_CAP = 128
+
+# Most signed primes any round's budget reaches.
+_UNIVERSE_CAP = 4096
 
 
 def run_step(
@@ -384,11 +387,13 @@ def run_step(
     The budget rule: k is chosen once per step, as the fewest signed
     primes whose discriminants reach 3 expected survivors (`choose_k`),
     doubling the universe from 16 until they do or it reaches
-    `_UNIVERSE_CAP`.  Round r uses the first min(k * 2^(r-1),
-    `_UNIVERSE_CAP`) signed primes, growing the universe to them, and
-    tries the discriminants reachable with them but not with the previous
-    round's.  A round that cannot widen the budget gives up at once, as
-    does the round after `config.round_cap`.  Each substep is timed under
+    `_FIRST_ROUND_CAP`; if they still fall short, k is the whole universe,
+    so that round 2 brings new signed primes.  Round r uses the first
+    min(k * 2^(r-1), `_UNIVERSE_CAP`) signed primes, growing the universe
+    to them, and tries the discriminants reachable with them but not with
+    the previous round's.  The step gives up after `config.round_cap`
+    rounds, or sooner when the budget has reached `_UNIVERSE_CAP` and the
+    next round cannot widen it.  Each substep is timed under
     its name in `report` (the tables under `setup`), and each round prints
     one progress line per substep but `pool`, whose time the `roots` line
     shows.
@@ -429,9 +434,11 @@ def run_step(
             if rnd == 1:
                 grow_universe(16)
                 k, exhausted = choose_k(n, ranked, params.b)
-                while exhausted and len(universe) < _UNIVERSE_CAP:
-                    grow_universe(min(2 * len(universe), _UNIVERSE_CAP))
+                while exhausted and len(universe) < _FIRST_ROUND_CAP:
+                    grow_universe(min(2 * len(universe), _FIRST_ROUND_CAP))
                     k, exhausted = choose_k(n, ranked, params.b)
+                if exhausted:
+                    k = len(universe)
             start, budget = budget, min(k << (rnd - 1), _UNIVERSE_CAP)
             if budget == start:
                 raise GiveUp(f"round {rnd} cannot widen the signed-prime budget {budget} "

@@ -307,23 +307,46 @@ def test_give_up_on_starved_config(env):
         prover.prove(n, config)
 
 
-def test_rounds_double_the_budget_then_give_up(monkeypatch, capsys, env):
+@pytest.mark.parametrize("round_cap, universe_cap, exhausted, stop", [
+    (4, None, False, "round cap 4 reached"),
+    (8, 32, False, "cannot widen"),
+    (3, None, True, "round cap 3 reached"),
+])
+def test_rounds_double_the_budget_then_give_up(monkeypatch, capsys, env,
+                                               round_cap, universe_cap, exhausted, stop):
     """With every phase 2 failing, each round doubles the signed-prime
-    budget up to the universe cap and tries new discriminants; the first
-    round that cannot widen the budget gives up at once."""
+    budget and tries new discriminants, until the round cap, or until the
+    budget has reached the universe cap and the next round cannot widen it.
+    When round 1 falls short of the survivor target at its universe cap,
+    k is that whole universe, so round 2 still brings new discriminants.
+    With h <= 8 and one part, the highest of the first 32 signed primes of
+    this n that is a discriminant on its own has rank 20, so k = 21 would
+    leave ranks 21..31 to round 2, which would try none of them."""
     monkeypatch.setattr(prover, "_phase2", lambda *args: None)
-    config = prover.ProveConfig(seed=0, round_cap=6, verbose=True,
-                                cache_dir=env.config.cache_dir)
+    if universe_cap is not None:
+        monkeypatch.setattr(prover, "_UNIVERSE_CAP", universe_cap)
+    narrow = {}
+    if exhausted:
+        monkeypatch.setattr(prover, "_FIRST_ROUND_CAP", 32)
+        monkeypatch.setattr(prover, "_survivor_weight", lambda *args: 0.0)
+        narrow = {"hmax": 8, "maxparts": 1}
+    config = prover.ProveConfig(seed=0, round_cap=round_cap, verbose=True,
+                                cache_dir=env.config.cache_dir, **narrow)
     n = prover.first_probable_prime_after(10**30)
-    with pytest.raises(GiveUp, match="cannot widen"):
+    with pytest.raises(GiveUp, match=stop):
         prover.prove(n, config, env)
     err = capsys.readouterr().err
     k = [int(x) for x in re.findall(r"round 1 roots: k=(\d+)", err)]
     budgets = [int(x) for x in re.findall(r"roots: k=\d+ budget=(\d+)", err)]
     discs = [int(x) for x in re.findall(r"cornacchia: discs=(\d+)", err)]
-    expect = [min(k[0] << r, prover._UNIVERSE_CAP) for r in range(len(budgets))]
-    assert budgets == expect and budgets[-1] == prover._UNIVERSE_CAP
-    assert len(budgets) < config.round_cap  # a round was left when it gave up
+    assert len(k) == 1
+    if exhausted:
+        assert k[0] == prover._FIRST_ROUND_CAP
+    assert budgets == [min(k[0] << r, prover._UNIVERSE_CAP) for r in range(len(budgets))]
+    if universe_cap is None:
+        assert len(budgets) == round_cap
+    else:
+        assert budgets[-1] == universe_cap and len(budgets) < round_cap
     assert len(discs) == len(budgets) and min(discs) > 0
 
 
