@@ -86,7 +86,6 @@ def _config_from_args(args) -> ProveConfig:
         hmax=args.hmax,
         pmax=args.pmax,
         maxparts=args.maxparts,
-        round_cap=args.rounds,
         cache_dir=args.cache_dir,
         verbose=not args.quiet,
     )
@@ -244,8 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--hmax", type=int, default=64)
         p.add_argument("--pmax", type=int, default=None)
         p.add_argument("--maxparts", type=int, default=3)
-        p.add_argument("--rounds", type=int, default=8,
-                       help="round cap before give-up")
         p.add_argument("--cache-dir", default=None)
         p.add_argument("--quiet", action="store_true")
 

@@ -22,13 +22,16 @@ from . import trialdiv
 class Disc:
     """One pool entry: a fundamental discriminant with class data.
 
-    `parts` are the qstar values whose product is d; `root`, when set,
-    satisfies root^2 = d (mod n) for the modulus the pool was built for.
+    `parts` are the qstar values whose product is d; `rank` is the position
+    of the last of them in the signed primes it was enumerated from, so a
+    step's rounds, up to the round at 4096 after which the step gives up,
+    reach the entries of rank < budget.  `root`, when set, satisfies
+    root^2 = d (mod n) for the modulus the pool was built for.
     """
 
     d: int
     h: int
-    hfac: tuple[int, ...]
+    rank: int
     parts: tuple[int, ...]
     root: int | None = None
 
@@ -254,21 +257,22 @@ def enumerate_pool_discs(
     |p q*_k| <= dmax, a range found by one binary search in the sorted
     |q*|, so no array grows with |qstars|^2; the new tuples are made in
     blocks of at most `_TUPLE_BLOCK`, or the extensions of one tuple.
-    h(D) comes from the table and its factors from a per-h table.
+    h(D) comes from the table, and the pmax test from a per-h table.
     """
     dmax = min(dmax, table.dmax)
     hmax = min(hmax, table.max_h)
     q = np.array(qstars, dtype=np.int64)
     size = np.abs(q)
-    hfac = [_factor_small(h) for h in range(hmax + 1)]
-    h_ok = np.array([h > 0 and all(p <= pmax for p in f) for h, f in enumerate(hfac)] + [False])
-    found_d, found_parts = [], []   # accepted tuples, by extend call
+    h_ok = np.array([h > 0 and all(p <= pmax for p in _factor_small(h))
+                     for h in range(hmax + 1)] + [False])
+    found_d, found_rank, found_parts = [], [], []   # accepted tuples, by extend call
 
     def extend(pos: np.ndarray, last: np.ndarray, prod: np.ndarray) -> None:
         """Keep the accepted tuples among `pos`, then extend every tuple."""
         neg = np.flatnonzero(prod < 0)
         keep = neg[h_ok[np.minimum(table._h[-prod[neg]], hmax + 1)]]
         found_d.append(prod[keep])
+        found_rank.append(last[keep])
         found_parts.extend(zip(*(q[col].tolist() for col in pos[keep].T)))
         if pos.shape[1] == maxparts:
             return
@@ -290,8 +294,8 @@ def enumerate_pool_discs(
     d = np.concatenate(found_d)
     h = table._h[-d]
     order = np.lexsort((-d, h))
-    hs = h[order].tolist()
-    return list(map(Disc, d[order].tolist(), hs, map(hfac.__getitem__, hs),
+    return list(map(Disc, d[order].tolist(), h[order].tolist(),
+                    np.concatenate(found_rank)[order].tolist(),
                     map(found_parts.__getitem__, order.tolist())))
 
 

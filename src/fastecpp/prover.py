@@ -50,7 +50,6 @@ class ProveConfig:
     hmax: int = 64                   # largest class number considered
     pmax: int | None = None          # None: max(29, bits // 1024)
     maxparts: int = 3                # signed primes per discriminant
-    round_cap: int = 8
     cache_dir: str | None = None
     verbose: bool = False
 
@@ -59,8 +58,8 @@ class ProveConfig:
             raise ValueError("b_bits out of range (10..40)")
         if self.dmax_cap < 16:
             raise ValueError("dmax_cap too small")
-        if self.hmax < 1 or self.maxparts < 1 or self.round_cap < 1:
-            raise ValueError("hmax, maxparts and round_cap must be >= 1")
+        if self.hmax < 1 or self.maxparts < 1:
+            raise ValueError("hmax and maxparts must be >= 1")
 
 
 _SUBJECT_ROUNDS = 64     # Miller-Rabin rounds for the subject n
@@ -225,23 +224,22 @@ def expected_candidates(entries: list[disc.Disc], bits: int, b: int) -> float:
     return sum((_survivor_weight(e.d, bits, b) for e in entries), 0.0)
 
 
-def choose_k(n: int, pool: list[tuple[int, disc.Disc]], b: int) -> tuple[int, bool]:
+def choose_k(n: int, pool: list[disc.Disc], b: int) -> tuple[int, bool]:
     """Minimal signed-prime budget k reaching 3 expected survivors.
 
-    `pool` pairs each candidate discriminant with its rank: the highest
-    position among its signed primes in the split-prime ordering.  The
+    `pool` holds the candidate discriminants, each with its `rank`.  The
     target of 3 leaves some choice among the survivors.  Returns
     (k, exhausted); when even the whole pool falls short, k covers all of
-    it and exhausted is True.
+    it and exhausted is True.  The step gives up after the round at 4096.
     """
     bits = n.bit_length()
-    by_rank = sorted(pool, key=lambda re: re[0])
+    by_rank = sorted(pool, key=lambda e: e.rank)
     acc = 0.0
-    for rank, entry in by_rank:
+    for entry in by_rank:
         acc += _survivor_weight(entry.d, bits, b)
         if acc >= 3.0:
-            return rank + 1, False
-    max_rank = by_rank[-1][0] if by_rank else 0
+            return entry.rank + 1, False
+    max_rank = by_rank[-1].rank if by_rank else 0
     return max_rank + 1, True
 
 
@@ -363,7 +361,7 @@ class Environment:
 # only after a round found no step, are not bound by it.
 _FIRST_ROUND_CAP = 128
 
-# Most signed primes any round's budget reaches.
+# Most signed primes a round's budget reaches; the step gives up after it.
 _UNIVERSE_CAP = 4096
 
 
@@ -371,7 +369,6 @@ def run_step(
     n: int,
     params: StepParams,
     step_seed: int,
-    config: ProveConfig,
     env: Environment,
     report: RunReport,
     step_index: int = 0,
@@ -391,9 +388,8 @@ def run_step(
     so that round 2 brings new signed primes.  Round r uses the first
     min(k * 2^(r-1), `_UNIVERSE_CAP`) signed primes, growing the universe
     to them, and tries the discriminants reachable with them but not with
-    the previous round's.  The step gives up after `config.round_cap`
-    rounds, or sooner when the budget has reached `_UNIVERSE_CAP` and the
-    next round cannot widen it.  Each substep is timed under
+    the previous round's.  The step gives up after the round at
+    `_UNIVERSE_CAP` = 4096.  Each substep is timed under
     its name in `report` (the tables under `setup`), and each round prints
     one progress line per substep but `pool`, whose time the `roots` line
     shows.
@@ -412,37 +408,34 @@ def run_step(
     stream = disc.signed_prime_stream(n)
     universe: list[int] = []
     roots: dict[int, int] = {}
-    ranked: list[tuple[int, disc.Disc]] = []   # the universe's pool, with ranks
-    budget = 0
+    entries: list[disc.Disc] = []   # the universe's pool
+    budget = rnd = 0
 
     def grow_universe(count: int) -> None:
         """Extend the universe to `count` signed primes and enumerate its pool."""
-        nonlocal ranked
+        nonlocal entries
         if len(universe) >= count:
             return
         universe.extend(itertools.islice(stream, count - len(universe)))
-        rank_of = {qs: i for i, qs in enumerate(universe)}
         entries = disc.enumerate_pool_discs(
             universe, table, params.dmax, params.hmax, params.pmax, params.maxparts
         )
-        ranked = [(max(rank_of[q] for q in e.parts), e) for e in entries]
 
-    for rnd in range(1, config.round_cap + 1):
+    with report.timed("pool"):
+        grow_universe(16)
+        k, exhausted = choose_k(n, entries, params.b)
+        while exhausted and len(universe) < _FIRST_ROUND_CAP:
+            grow_universe(min(2 * len(universe), _FIRST_ROUND_CAP))
+            k, exhausted = choose_k(n, entries, params.b)
+        if exhausted:
+            k = len(universe)
+
+    while budget < _UNIVERSE_CAP:
+        rnd += 1
         stats.rounds = rnd
-        # --- substep 1: the pool, k, and square roots --------------------
+        # --- substep 1: the pool and square roots -------------------------
         with report.timed("pool"):
-            if rnd == 1:
-                grow_universe(16)
-                k, exhausted = choose_k(n, ranked, params.b)
-                while exhausted and len(universe) < _FIRST_ROUND_CAP:
-                    grow_universe(min(2 * len(universe), _FIRST_ROUND_CAP))
-                    k, exhausted = choose_k(n, ranked, params.b)
-                if exhausted:
-                    k = len(universe)
             start, budget = budget, min(k << (rnd - 1), _UNIVERSE_CAP)
-            if budget == start:
-                raise GiveUp(f"round {rnd} cannot widen the signed-prime budget {budget} "
-                             f"for N with {params.bits} bits")
             grow_universe(budget)
         with report.timed("roots"):
             for qs in universe[start:budget]:
@@ -450,9 +443,9 @@ def run_step(
                 if r is None:
                     raise CompositeDetected("sqrt-failed-for-residue", n=n)
                 roots[qs] = r
-            reachable = [(rank, e) for rank, e in ranked if rank < budget]
+            reachable = [e for e in entries if e.rank < budget]
             stats.pool_size = len(reachable)
-            stats.expected = expected_candidates([e for _, e in reachable], params.bits, params.b)
+            stats.expected = expected_candidates(reachable, params.bits, params.b)
         head = f"step {step_index} round {rnd}"
         report.progress(f"{head} roots", "pool", "roots", k=k, budget=budget,
                         expected_nprime=f"{stats.expected:.2f}")
@@ -460,7 +453,7 @@ def run_step(
         # --- substep 2: Cornacchia over the round's new discriminants ----
         with report.timed("cornacchia"):
             # the earlier rounds tried every discriminant of rank < start
-            fresh = disc.build_pool(n, [e for rank, e in reachable if rank >= start], roots)
+            fresh = disc.build_pool(n, [e for e in reachable if e.rank >= start], roots)
             hits = []
             for e in fresh:
                 tv = cornacchia(n, e.d, e.root)
@@ -504,7 +497,8 @@ def run_step(
         if step is not None:
             return step
 
-    raise GiveUp(f"round cap {config.round_cap} reached for N with {params.bits} bits")
+    raise GiveUp(f"no step after the round at {budget} signed primes "
+                 f"for N with {params.bits} bits")
 
 
 def _phase2(
@@ -581,7 +575,7 @@ def prove_with_report(
         while current >= DETERMINISTIC_THRESHOLD:
             params = select_params(current, config=config)
             step_seed = derive_seed(config.seed, "step", level)
-            step = run_step(current, params, step_seed, config, env, report, level)
+            step = run_step(current, params, step_seed, env, report, level)
             steps.append(step)
             current = step.nprime
             level += 1

@@ -79,12 +79,17 @@ def test_criterion_01_end_to_end(run50, run100, tmp_path):
         with open(path, "w", encoding="ascii") as f:
             f.write(cert.serialize(certificate))
         assert _fresh_process_verify(path) == 0, label
-    # verification is far cheaper than generation (well under 5%)
+    # verification is far cheaper than generation (well under 5%); the
+    # best of 5 runs keeps a load spike on a shared machine out of the
+    # few-millisecond verify time
     n, certificate, report, gen_seconds = run50
-    t0 = time.perf_counter()
-    res = cert.verify(certificate)
-    verify_seconds = time.perf_counter() - t0
-    assert res.accepted
+    verify_times = []
+    for _ in range(5):
+        t0 = time.perf_counter()
+        res = cert.verify(certificate)
+        verify_times.append(time.perf_counter() - t0)
+        assert res.accepted
+    verify_seconds = min(verify_times)
     assert verify_seconds < 0.05 * gen_seconds
     _pass(1, f"10^50 ({len(run50[1].steps)} steps, {run50[3]:.1f}s) and "
              f"10^100 ({len(run100[1].steps)} steps, {run100[3]:.1f}s) "

@@ -101,7 +101,7 @@ def test_bench_give_up_exits_3(capsys, cache_dir):
     # no D in {-3, -4, -7, -8, -11} splits for the first prime after 10^44
     rc = run_cli([
         "bench", "44", "--quiet", "--dmax", "16", "--hmax", "1",
-        "--maxparts", "1", "--rounds", "2", "--cache-dir", cache_dir,
+        "--maxparts", "1", "--cache-dir", cache_dir,
     ])
     assert rc == 3
     assert "give-up" in capsys.readouterr().err
@@ -110,7 +110,6 @@ def test_bench_give_up_exits_3(capsys, cache_dir):
 @pytest.mark.parametrize("argv", [
     ["prove", "97", "--b-bits", "5"],
     ["prove", "97", "--dmax", "8"],
-    ["prove", "97", "--rounds", "0"],
     ["prove", "97", "--hmax", "0"],
     ["prove", "97", "--maxparts", "0"],
     ["prove", "1"],

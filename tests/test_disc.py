@@ -231,7 +231,7 @@ def enumerate_pool_discs_oracle(qstars, table, dmax, hmax, pmax, maxparts):
     dmax = min(dmax, table.dmax)
     found = []
 
-    def consider(prod, parts):
+    def consider(prod, parts, last):
         if prod >= 0:
             return
         h = table.class_number(prod)
@@ -240,11 +240,11 @@ def enumerate_pool_discs_oracle(qstars, table, dmax, hmax, pmax, maxparts):
         hfac = disc._factor_small(h)
         if hfac and max(hfac) > pmax:
             return
-        found.append(disc.Disc(prod, h, hfac, parts))
+        found.append(disc.Disc(prod, h, last, parts))
 
     def extend(start, prod, parts, used_even):
         if parts:
-            consider(prod, parts)
+            consider(prod, parts, start - 1)
         if len(parts) >= maxparts:
             return
         for i in range(start, len(qstars)):
@@ -261,7 +261,7 @@ def enumerate_pool_discs_oracle(qstars, table, dmax, hmax, pmax, maxparts):
 
 
 def _fields(entries):
-    return [(e.d, e.h, e.hfac, e.parts) for e in entries]
+    return [(e.d, e.h, e.rank, e.parts) for e in entries]
 
 
 def _ranked(universe, entries):
@@ -287,7 +287,7 @@ def test_enumeration_matches_oracle_on_stream_universes(env, seed, maxparts):
     expect = enumerate_pool_discs_oracle(universe, *args)
     assert _fields(got) == _fields(expect)
     assert len({e.d for e in got}) == len({e.parts for e in got}) == len(got)
-    assert _ranked(universe, got) == _ranked(universe, expect)
+    assert _ranked(universe, got) == [(e.rank, e.d, e.parts) for e in got]
     roots = _roots_for(n, universe[:40])
     assert [(e.d, e.parts, e.root) for e in disc.build_pool(n, got, roots)] == [
         (e.d, e.parts, e.root) for e in disc.build_pool(n, expect, roots)]
@@ -369,7 +369,6 @@ def test_build_pool_respects_bounds_and_order(env):
         assert math.prod(e.parts) == e.d
         assert len(e.parts) <= 3
         assert sum(1 for q in e.parts if q % 2 == 0) <= 1
-        assert math.prod(e.hfac) == e.h if e.hfac else e.h == 1
         # genus lower bound: 2^(parts - 1) divides h
         assert e.h % (1 << (len(e.parts) - 1)) == 0
         assert e.root**2 % n == e.d % n
@@ -388,7 +387,7 @@ def test_build_pool_deterministic(table2000):
 def test_build_pool_from_wider_enumeration(env):
     """A pool cut from an enumeration over a wider signed-prime list equals
     the pool enumerated from the roots' own signed primes, in order and in
-    (d, h, hfac, root)."""
+    (d, h, rank, root)."""
     n = 10**20 + 39
     table = env.table
     universe = signed_primes(n, 128)
@@ -401,8 +400,8 @@ def test_build_pool_from_wider_enumeration(env):
             n, disc.enumerate_pool_discs(own, table, 1 << 20, 64, 29, 3), roots
         )
         got = disc.build_pool(n, entries, roots)
-        assert [(e.d, e.h, e.hfac, e.root) for e in got] == [
-            (e.d, e.h, e.hfac, e.root) for e in expect
+        assert [(e.d, e.h, e.rank, e.root) for e in got] == [
+            (e.d, e.h, e.rank, e.root) for e in expect
         ], budget
 
 

@@ -37,25 +37,25 @@ def test_select_params():
 
 def test_expected_candidates_single_disc():
     # lone D = -3 at L = 1000, B = 2^20: about 0.041 expected survivors
-    entry = disc.Disc(-3, 1, (), (-3,))
+    entry = disc.Disc(-3, 1, 0, (-3,))
     est = prover.expected_candidates([entry], 1000, 1 << 20)
     assert abs(est - 0.0411) < 2e-3
 
 
 def test_choose_k_thresholds():
     n = (1 << 1000) + 9
-    entry = disc.Disc(-3, 1, (), (-3,))
+    entry = disc.Disc(-3, 1, 0, (-3,))
     # a single reachable discriminant can never reach the target
-    k, exhausted = prover.choose_k(n, [(0, entry)], 1 << 20)
+    k, exhausted = prover.choose_k(n, [entry], 1 << 20)
     assert exhausted and k == 1
     # large pool, listed out of rank order: k is the fewest ranks whose
     # discriminants reach 3 expected survivors
-    pool = [(i, disc.Disc(-3 - 4 * i, 1, (), ())) for i in range(4000)]
+    pool = [disc.Disc(-3 - 4 * i, 1, i, ()) for i in range(4000)]
     k, exhausted = prover.choose_k(n, pool[::-1], 1 << 20)
     assert not exhausted
 
     def mass(ranks):
-        return prover.expected_candidates([e for r, e in pool if r < ranks], 1001, 1 << 20)
+        return prover.expected_candidates([e for e in pool if e.rank < ranks], 1001, 1 << 20)
 
     assert mass(k - 1) < 3.0 <= mass(k)
 
@@ -297,8 +297,7 @@ def test_give_up_on_starved_config(env):
     from fastecpp.numth import jacobi
 
     config = prover.ProveConfig(
-        seed=0, dmax_cap=16, hmax=1, maxparts=1, round_cap=2,
-        cache_dir=env.config.cache_dir,
+        seed=0, dmax_cap=16, hmax=1, maxparts=1, cache_dir=env.config.cache_dir,
     )
     n = prover.first_probable_prime_after(1 << 70)
     while any(jacobi(d, n) != -1 for d in (-3, -4, -7, -8, -11)):
@@ -307,21 +306,24 @@ def test_give_up_on_starved_config(env):
         prover.prove(n, config)
 
 
-@pytest.mark.parametrize("round_cap, universe_cap, exhausted, stop", [
-    (4, None, False, "round cap 4 reached"),
-    (8, 32, False, "cannot widen"),
-    (3, None, True, "round cap 3 reached"),
+@pytest.mark.parametrize("universe_cap, exhausted", [
+    pytest.param(None, False, id="default"),
+    pytest.param(32, False, id="universe-cap-32"),
+    pytest.param(128, True, id="exhausted-round-1"),
 ])
 def test_rounds_double_the_budget_then_give_up(monkeypatch, capsys, env,
-                                               round_cap, universe_cap, exhausted, stop):
+                                               universe_cap, exhausted):
     """With every phase 2 failing, each round doubles the signed-prime
-    budget and tries new discriminants, until the round cap, or until the
-    budget has reached the universe cap and the next round cannot widen it.
-    When round 1 falls short of the survivor target at its universe cap,
-    k is that whole universe, so round 2 still brings new discriminants.
-    With h <= 8 and one part, the highest of the first 32 signed primes of
-    this n that is a discriminant on its own has rank 20, so k = 21 would
-    leave ranks 21..31 to round 2, which would try none of them."""
+    budget and tries new discriminants, up to the round at the universe
+    cap, and then the step gives up.  With the default k = 8 for this n
+    that is ten rounds, 8 to 4096.  When round 1 falls short of the
+    survivor target at its universe cap, k is that whole universe, so
+    round 2 still brings new discriminants.  With h <= 8 and one part, the
+    highest of the first 32 signed primes of this n that is a discriminant
+    on its own has rank 20, so k = 21 would leave ranks 21..31 to round 2,
+    which would try none of them.  That narrow pool has no new
+    discriminant past 512 signed primes, so this case stops the ladder at
+    128, three rounds."""
     monkeypatch.setattr(prover, "_phase2", lambda *args: None)
     if universe_cap is not None:
         monkeypatch.setattr(prover, "_UNIVERSE_CAP", universe_cap)
@@ -330,10 +332,9 @@ def test_rounds_double_the_budget_then_give_up(monkeypatch, capsys, env,
         monkeypatch.setattr(prover, "_FIRST_ROUND_CAP", 32)
         monkeypatch.setattr(prover, "_survivor_weight", lambda *args: 0.0)
         narrow = {"hmax": 8, "maxparts": 1}
-    config = prover.ProveConfig(seed=0, round_cap=round_cap, verbose=True,
-                                cache_dir=env.config.cache_dir, **narrow)
+    config = prover.ProveConfig(seed=0, verbose=True, cache_dir=env.config.cache_dir, **narrow)
     n = prover.first_probable_prime_after(10**30)
-    with pytest.raises(GiveUp, match=stop):
+    with pytest.raises(GiveUp, match=f"after the round at {prover._UNIVERSE_CAP} "):
         prover.prove(n, config, env)
     err = capsys.readouterr().err
     k = [int(x) for x in re.findall(r"round 1 roots: k=(\d+)", err)]
@@ -342,11 +343,13 @@ def test_rounds_double_the_budget_then_give_up(monkeypatch, capsys, env,
     assert len(k) == 1
     if exhausted:
         assert k[0] == prover._FIRST_ROUND_CAP
-    assert budgets == [min(k[0] << r, prover._UNIVERSE_CAP) for r in range(len(budgets))]
-    if universe_cap is None:
-        assert len(budgets) == round_cap
-    else:
-        assert budgets[-1] == universe_cap and len(budgets) < round_cap
+    if universe_cap is None and not exhausted:
+        assert k[0] == 8 and len(budgets) == 10
+    # one round per rung of the ladder k, 2k, 4k, ... up to the cap
+    ladder = [k[0]]
+    while ladder[-1] < prover._UNIVERSE_CAP:
+        ladder.append(min(2 * ladder[-1], prover._UNIVERSE_CAP))
+    assert budgets == ladder
     assert len(discs) == len(budgets) and min(discs) > 0
 
 
