@@ -28,13 +28,10 @@ print(f"\nm = 2^7 * 3^4 * 10000019 = {m}")
 print(f"smooth part c = {split.c} (= 2^7 * 3^4 = {2**7 * 3**4})")
 print(f"rough part N' = {split.nprime}")
 
-# batch mode: many m against several contiguous prime ranges, one remainder
-# tree per range; the smooth parts combine to the single-product result
-products = [trialdiv.prime_product(1, 1 << 13), trialdiv.prime_product(1 << 13, B)]
-splits = trialdiv.batch_factor(ms, products)
-single = trialdiv.batch_factor(ms, [pp])
-assert [(s.c, s.nprime) for s in splits] == [(s.c, s.nprime) for s in single]
-print(f"\nbatch_factor over 2 prime ranges matches the single-product run")
+# batch mode: one remainder tree against P, then the ladder for every m
+splits = trialdiv.batch_factor(ms, pp)
+assert all(s.c * s.nprime == m for m, s in zip(ms, splits))
+print(f"\nbatch_factor splits {len(ms)} moduli against P in one call")
 for m, s in zip(ms, splits):
     print(f"  m ({m.bit_length()} bits): c = {s.c}, N' has {s.nprime.bit_length()} bits")
 

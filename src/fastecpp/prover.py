@@ -54,8 +54,8 @@ class ProveConfig:
     verbose: bool = False
 
     def validate(self) -> None:
-        if not (10 <= self.b_bits <= 40):
-            raise ValueError("b_bits out of range (10..40)")
+        if not (10 <= self.b_bits <= trialdiv.MAX_B_BITS):
+            raise ValueError(f"b_bits out of range (10..{trialdiv.MAX_B_BITS})")
         if self.dmax_cap < 16:
             raise ValueError("dmax_cap too small")
         if self.hmax < 1 or self.maxparts < 1:
@@ -224,23 +224,20 @@ def expected_candidates(entries: list[disc.Disc], bits: int, b: int) -> float:
     return sum((_survivor_weight(e.d, bits, b) for e in entries), 0.0)
 
 
-def choose_k(n: int, pool: list[disc.Disc], b: int) -> tuple[int, bool]:
+def choose_k(n: int, pool: list[disc.Disc], b: int) -> int | None:
     """Minimal signed-prime budget k reaching 3 expected survivors.
 
     `pool` holds the candidate discriminants, each with its `rank`.  The
-    target of 3 leaves some choice among the survivors.  Returns
-    (k, exhausted); when even the whole pool falls short, k covers all of
-    it and exhausted is True.  The step gives up after the round at 4096.
+    target of 3 leaves some choice among the survivors.  Returns None
+    when even the whole pool falls short.
     """
     bits = n.bit_length()
-    by_rank = sorted(pool, key=lambda e: e.rank)
     acc = 0.0
-    for entry in by_rank:
+    for entry in sorted(pool, key=lambda e: e.rank):
         acc += _survivor_weight(entry.d, bits, b)
         if acc >= 3.0:
-            return entry.rank + 1, False
-    max_rank = by_rank[-1].rank if by_rank else 0
-    return max_rank + 1, True
+            return entry.rank + 1
+    return None
 
 
 _CACHE_MAGIC = b"FECPP-CACHE 1"
@@ -280,7 +277,7 @@ def _cache_save(cache_dir: str | None, key: str, payload: bytes) -> None:
 
 
 class Environment:
-    """Shared read-only tables: class numbers, prime products, poly memo.
+    """Shared read-only tables: class numbers, the prime product, poly memo.
 
     The only code that reads or writes `config.cache_dir`.  Every file is
     one checksummed envelope (`_cache_load` / `_cache_save`); a payload
@@ -309,24 +306,21 @@ class Environment:
         return self.table
 
     def ensure_products(self, b: int) -> list[trialdiv.PrimeProduct]:
-        """Prime products over (1, b] in ranges of `trialdiv.RANGE_WIDTH`.
+        """The product of the primes in (1, b], as the one-element list `products`.
 
         Payload: the product's little-endian magnitude bytes.
         """
-        if not self.products or self.products[-1].b_hi != b:
-            self.products = []
-            for lo in range(1, b, trialdiv.RANGE_WIDTH):
-                hi = min(lo + trialdiv.RANGE_WIDTH, b)
-                key = f"prime_product_{lo}_{hi}"
-                raw = _cache_load(self.config.cache_dir, key)
-                if raw is not None:
-                    value = int.from_bytes(raw, "little")
-                    pp = trialdiv.PrimeProduct(lo, hi, value, value.bit_length())
-                else:
-                    pp = trialdiv.prime_product(lo, hi)
-                    raw = pp.value.to_bytes((pp.nbits + 7) // 8 or 1, "little")
-                    _cache_save(self.config.cache_dir, key, raw)
-                self.products.append(pp)
+        if not self.products or self.products[0].b_hi != b:
+            key = f"prime_product_1_{b}"
+            raw = _cache_load(self.config.cache_dir, key)
+            if raw is not None:
+                value = int.from_bytes(raw, "little")
+                pp = trialdiv.PrimeProduct(1, b, value, value.bit_length())
+            else:
+                pp = trialdiv.prime_product(1, b)
+                raw = pp.value.to_bytes((pp.nbits + 7) // 8 or 1, "little")
+                _cache_save(self.config.cache_dir, key, raw)
+            self.products = [pp]
         return self.products
 
     def class_poly(self, d: int) -> cm.ClassPolynomial:
@@ -353,7 +347,7 @@ class Environment:
         return poly
 
 
-# Most signed primes round 1 grows the universe to while looking for k.
+# Signed primes among which round 1 looks for k.
 # With each signed prime counted once, the 3-survivor target is out of reach
 # at 665 bits, so without this bound the first prime after 10^200 grew round
 # 1's universe to 4096 at most steps and took 30 s against 8-11 s (2-core
@@ -382,17 +376,18 @@ def run_step(
     class polynomial, a root mod N, and a point of order N'.
 
     The budget rule: k is chosen once per step, as the fewest signed
-    primes whose discriminants reach 3 expected survivors (`choose_k`),
-    doubling the universe from 16 until they do or it reaches
-    `_FIRST_ROUND_CAP`; if they still fall short, k is the whole universe,
-    so that round 2 brings new signed primes.  Round r uses the first
-    min(k * 2^(r-1), `_UNIVERSE_CAP`) signed primes, growing the universe
-    to them, and tries the discriminants reachable with them but not with
-    the previous round's.  The step gives up after the round at
-    `_UNIVERSE_CAP` = 4096.  Each substep is timed under
-    its name in `report` (the tables under `setup`), and each round prints
-    one progress line per substep but `pool`, whose time the `roots` line
-    shows.
+    primes whose discriminants reach 3 expected survivors (`choose_k`)
+    among the first `_FIRST_ROUND_CAP`; if they fall short, k is all of
+    them, so that round 2 brings new signed primes.  Round r uses the
+    first min(k * 2^(r-1), `_UNIVERSE_CAP`) signed primes, growing the
+    universe to them, and tries the discriminants reachable with them but
+    not with the previous round's.  The step gives up after the round at
+    `_UNIVERSE_CAP` = 4096, or earlier, before a round whose first new
+    signed prime has |q*| > dmax: the stream yields them by non-decreasing
+    |q*|, so no later round can add a discriminant.  Each substep is timed
+    under its name in `report` (the tables under `setup`), and each round
+    prints one progress line per substep but `pool`, whose time the
+    `roots` line shows.
 
     Each N' gets the `mr_rounds` count for its size, not the subject's
     64, drawn from the same RNG, so the kept candidate only differs when a
@@ -401,7 +396,7 @@ def run_step(
     """
     with report.timed("setup"):
         table = env.ensure_table(params.dmax)
-        products = env.ensure_products(params.b)
+        [product] = env.ensure_products(params.b)
     stats = StepStats(index=step_index, n_bits=params.bits)
     report.steps.append(stats)
 
@@ -422,21 +417,19 @@ def run_step(
         )
 
     with report.timed("pool"):
-        grow_universe(16)
-        k, exhausted = choose_k(n, entries, params.b)
-        while exhausted and len(universe) < _FIRST_ROUND_CAP:
-            grow_universe(min(2 * len(universe), _FIRST_ROUND_CAP))
-            k, exhausted = choose_k(n, entries, params.b)
-        if exhausted:
-            k = len(universe)
+        grow_universe(_FIRST_ROUND_CAP)
+        k = choose_k(n, entries, params.b) or len(universe)
 
     while budget < _UNIVERSE_CAP:
-        rnd += 1
-        stats.rounds = rnd
         # --- substep 1: the pool and square roots -------------------------
         with report.timed("pool"):
-            start, budget = budget, min(k << (rnd - 1), _UNIVERSE_CAP)
-            grow_universe(budget)
+            start, end = budget, min(k << rnd, _UNIVERSE_CAP)
+            grow_universe(end)
+        if abs(universe[start]) > params.dmax:
+            break  # every D from here on has |D| > dmax
+        budget = end
+        rnd += 1
+        stats.rounds = rnd
         with report.timed("roots"):
             for qs in universe[start:budget]:
                 r = sqrt_mod(qs, n)
@@ -468,7 +461,7 @@ def run_step(
             for e, (t, v) in hits:
                 for m in {n + 1 - t, n + 1 + t}:
                     skeletons.append((e, t, v, m))
-            splits = trialdiv.batch_factor([m for (_, _, _, m) in skeletons], products)
+            splits = trialdiv.batch_factor([m for (_, _, _, m) in skeletons], product)
             candidates = []
             for (e, t, v, m), sp in zip(skeletons, splits):
                 if sp.c >= 2 and cert_mod.exceeds_quartic_floor(sp.nprime, n):

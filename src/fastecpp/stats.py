@@ -155,9 +155,9 @@ def sample(
     bucket up by a visible finite-size bias.  Draws are seeded per
     fixed-size chunk and each Miller-Rabin test per sample index.
     `workers` is accepted for compatibility and ignored.
-    B lies in [2^10, 2^24], 2^24 being the widest single prime product
-    the program builds (`trialdiv.RANGE_WIDTH`); `env_products`, when
-    given, must end at B (`batch_factor` checks the start and the gaps).
+    B lies in [2^10, 2^24] (`trialdiv.MAX_B_BITS`), as for `prove`;
+    `env_products`, when given, is [the product of the primes in (1, B]],
+    as `prover.Environment.ensure_products` returns it.
 
     The Miller-Rabin round count depends on the bit length k of the
     cofactor N' (`numth.mr_rounds`), and the chance that any one sample
@@ -188,15 +188,15 @@ def sample(
     """
     if b < 1 << 10:
         raise ValueError("b must be at least 2**10")
-    if b > trialdiv.RANGE_WIDTH:
-        raise ValueError("b must be at most 2**24, the widest prime product built")
+    if b > 1 << trialdiv.MAX_B_BITS:
+        raise ValueError(f"b must be at most 2**{trialdiv.MAX_B_BITS}")
     if bits < 64:
         raise ValueError("bits must be at least 64")
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    if env_products and max(pp.b_hi for pp in env_products) != b:
+    [product] = env_products or [trialdiv.prime_product(1, b)]
+    if product.b_hi != b:
         raise ValueError("env_products must end at b")
-    products = env_products or [trialdiv.prime_product(1, b)]
 
     ms: list[int] = []
     n_chunks = (n_samples + _CHUNK - 1) // _CHUNK
@@ -206,7 +206,7 @@ def sample(
         for _ in range(count):
             ms.append(rng.getrandbits(bits - 1) | (1 << (bits - 1)))
 
-    splits = trialdiv.batch_factor(ms, products)
+    splits = trialdiv.batch_factor(ms, product)
     rounds = [mr_rounds(k, bits) for k in range(bits + 1)]
     kept_alphas = []
     for i, sp in enumerate(splits):

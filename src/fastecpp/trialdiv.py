@@ -34,7 +34,7 @@ and `%` 54-61 ms, and for roots of 27-373 kbits 72-112 ms against
 
 import decimal
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from decimal import Decimal
 from functools import cached_property
 
@@ -137,7 +137,7 @@ class PrimeProduct:
 
     b_lo: int
     b_hi: int
-    value: int
+    value: int = field(repr=False)  # str() refuses ints over ~4300 digits
     nbits: int
 
     @cached_property
@@ -156,8 +156,11 @@ class PrimeProduct:
         return str(self.decimal_value)
 
 
-# Widest prime range (b_lo, b_hi] of one product the program builds.
-RANGE_WIDTH = 1 << 24
+# Largest log2 of the smoothness bound B that `prove`, `bench` and
+# `stats --sample` accept.  The product of the primes below 2^24 took 24 s
+# to build and 7.2 s more to convert to Decimal (2-core machine,
+# CPython 3.11), and each bit more doubles that.
+MAX_B_BITS = 24
 
 
 def prime_product(b_lo: int, b_hi: int) -> PrimeProduct:
@@ -297,29 +300,13 @@ def smooth_split(m: int, p_mod_m: int, p: int) -> SmoothSplit:
     return SmoothSplit(m, c, nprime)
 
 
-def batch_factor(ms: list[int], products: list[PrimeProduct]) -> list[SmoothSplit]:
-    """Smooth-split every m against the union of the prime products.
+def batch_factor(ms: list[int], product: PrimeProduct) -> list[SmoothSplit]:
+    """Smooth-split every m against the product of the primes in (1, B].
 
-    One remainder tree per prime product; per-range smooth parts combine
-    multiplicatively, matching a single split against the full product.
+    One remainder tree gives P mod m for every m, and the gcd ladder
+    takes the smooth part of each.
     """
-    if not ms:
-        return []
-    lo = min(pp.b_lo for pp in products)
-    if lo > 2:
-        raise ValueError("prime ranges must start at 2 or below")
-    spans = sorted((pp.b_lo, pp.b_hi) for pp in products)
-    for (_, hi_prev), (lo_next, _) in zip(spans, spans[1:]):
-        if lo_next != hi_prev:
-            raise ValueError("prime ranges must be contiguous")
-    rems = [remainder_tree(pp, ms) for pp in products]
-    out: list[SmoothSplit] = []
-    for i, m in enumerate(ms):
-        c_total, mm = 1, m
-        for r in rems:
-            if mm == 1:
-                break
-            c, mm = _extract_ladder(mm, r[i] % mm)
-            c_total *= c
-        out.append(SmoothSplit(m, c_total, mm))
-    return out
+    if product.b_lo > 1:
+        raise ValueError("the prime range must start at 1, below the prime 2")
+    return [SmoothSplit(m, *_extract_ladder(m, r))
+            for m, r in zip(ms, remainder_tree(product, ms))]

@@ -309,9 +309,9 @@ def test_criterion_06b_batch_factor_vs_naive():
     rng = random.Random(64)
     for bound in (1000, 100_000):
         primes = [int(p) for p in trialdiv.primes_up_to(bound)]
-        products = [trialdiv.prime_product(1, bound)]
+        product = trialdiv.prime_product(1, bound)
         ms = [rng.getrandbits(256) | (1 << 255) for _ in range(1000)]
-        splits = trialdiv.batch_factor(ms, products)
+        splits = trialdiv.batch_factor(ms, product)
         for m, s in zip(ms, splits):
             c, rest = 1, m
             for p in primes:

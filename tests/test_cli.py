@@ -115,6 +115,7 @@ def test_bench_give_up_exits_3(capsys, cache_dir):
     ["prove", "1"],
     ["prove", "0"],
     ["bench", "20", "--b-bits", "5"],
+    ["prove", "97", "--b-bits", "25"],
 ])
 def test_bad_search_option_or_small_number_exits_2(capsys, argv):
     assert run_cli([*argv, "--quiet"]) == 2

@@ -46,13 +46,12 @@ def test_choose_k_thresholds():
     n = (1 << 1000) + 9
     entry = disc.Disc(-3, 1, 0, (-3,))
     # a single reachable discriminant can never reach the target
-    k, exhausted = prover.choose_k(n, [entry], 1 << 20)
-    assert exhausted and k == 1
+    assert prover.choose_k(n, [entry], 1 << 20) is None
     # large pool, listed out of rank order: k is the fewest ranks whose
     # discriminants reach 3 expected survivors
     pool = [disc.Disc(-3 - 4 * i, 1, i, ()) for i in range(4000)]
-    k, exhausted = prover.choose_k(n, pool[::-1], 1 << 20)
-    assert not exhausted
+    k = prover.choose_k(n, pool[::-1], 1 << 20)
+    assert k is not None
 
     def mass(ranks):
         return prover.expected_candidates([e for e in pool if e.rank < ranks], 1001, 1 << 20)
@@ -61,8 +60,20 @@ def test_choose_k_thresholds():
 
 
 def test_choose_k_empty_pool():
-    k, exhausted = prover.choose_k((1 << 100) + 3, [], 1 << 20)
-    assert exhausted and k == 1
+    assert prover.choose_k((1 << 100) + 3, [], 1 << 20) is None
+
+
+@pytest.mark.parametrize("b_bits, ok", [(9, False), (10, True), (24, True), (25, False)])
+def test_config_b_bits_range(b_bits, ok):
+    """B is 2^10..2^24 for `prove`, as for `stats.sample`."""
+    config = prover.ProveConfig(b_bits=b_bits)
+    if ok:
+        config.validate()
+    else:
+        with pytest.raises(ValueError, match="b_bits out of range"):
+            config.validate()
+        with pytest.raises(ValueError, match="b_bits out of range"):
+            prover.prove(97, config)
 
 
 def test_quartic_floor_examples():
@@ -289,21 +300,30 @@ def test_progress_line_shows_time_since_the_last_line(capsys):
     assert capsys.readouterr().err == ""
 
 
-def test_give_up_on_starved_config(env):
+def test_give_up_on_starved_config(env, capsys):
     """A provably empty pool must end in GiveUp, not loop or fabricate.
 
     |D| capped at 16 with square-free parts and h = 1 leaves the
-    candidates -3, -4, -7, -8, -11; pick n for which none splits."""
+    candidates -3, -4, -7, -8, -11; pick n for which none splits.  The
+    pool falls short of the survivor target, so k is all 128 signed
+    primes of round 1; the 129th is far above 16, so no later round can
+    add a discriminant and the step gives up after round 1 instead of
+    walking the ladder up to 4096."""
     from fastecpp.numth import jacobi
 
     config = prover.ProveConfig(
         seed=0, dmax_cap=16, hmax=1, maxparts=1, cache_dir=env.config.cache_dir,
+        verbose=True,
     )
     n = prover.first_probable_prime_after(1 << 70)
     while any(jacobi(d, n) != -1 for d in (-3, -4, -7, -8, -11)):
         n = prover.first_probable_prime_after(n)
-    with pytest.raises(GiveUp):
+    with pytest.raises(GiveUp, match=f"after the round at {prover._FIRST_ROUND_CAP} signed"):
         prover.prove(n, config)
+    err = capsys.readouterr().err
+    assert re.findall(r"step 0 round (\d+) roots: k=(\d+) budget=(\d+)", err) == [
+        ("1", "128", "128")]
+    assert "round 2" not in err
 
 
 @pytest.mark.parametrize("universe_cap, exhausted", [

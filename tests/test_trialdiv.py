@@ -58,6 +58,13 @@ def test_prime_product_validation():
         trialdiv.prime_product(0, 5)
 
 
+def test_prime_product_repr(product_2_20):
+    """repr leaves out the value, which str() refuses above ~4300 digits."""
+    text = repr(product_2_20)
+    assert text.startswith("PrimeProduct(b_lo=1, b_hi=1048576, nbits=")
+    assert len(text) < 100
+
+
 def test_prime_product_cache(tmp_path, monkeypatch):
     config = prover.ProveConfig(cache_dir=str(tmp_path))
     [a] = prover.Environment(config).ensure_products(10_000)
@@ -294,7 +301,7 @@ def test_batch_factor_leaves_caller_context_alone():
         ctx.clear_traps()
         ctx.clear_flags()
         before = repr(ctx)
-        splits = trialdiv.batch_factor(ms, [pp])
+        splits = trialdiv.batch_factor(ms, pp)
         assert decimal.getcontext() is ctx
         assert repr(ctx) == before
     assert splits == expect
@@ -328,51 +335,34 @@ def test_smooth_split_prime_powers():
 
 
 def test_batch_factor_examples():
-    # products {2,3} and {5} as the contiguous ranges (1,4], (4,6]
-    products = [trialdiv.prime_product(1, 4), trialdiv.prime_product(4, 6)]
-    out = trialdiv.batch_factor([84], products)
+    product = trialdiv.prime_product(1, 6)  # 2 * 3 * 5
+    out = trialdiv.batch_factor([84], product)
     assert (out[0].c, out[0].nprime) == (12, 7)
-    out = trialdiv.batch_factor([84, 85], products)
+    out = trialdiv.batch_factor([84, 85], product)
     assert [(s.c, s.nprime) for s in out] == [(12, 7), (5, 17)]
-    assert trialdiv.batch_factor([], products) == []
+    assert trialdiv.batch_factor([], product) == []
 
 
-def test_batch_factor_requires_contiguous_ranges():
-    products = [trialdiv.prime_product(1, 4), trialdiv.prime_product(6, 10)]
-    with pytest.raises(ValueError):
-        trialdiv.batch_factor([10], products)
-    with pytest.raises(ValueError):
-        trialdiv.batch_factor([10], [trialdiv.prime_product(4, 6)])
+def test_batch_factor_requires_range_from_1():
+    """A product that leaves out the prime 2, or more, is refused."""
+    for lo in (2, 4):
+        with pytest.raises(ValueError, match="start at 1"):
+            trialdiv.batch_factor([10], trialdiv.prime_product(lo, 6))
 
 
 def test_batch_factor_matches_naive_oracle():
     """Scaled-down version of the acceptance sweep (10^2 samples here)."""
     rng = random.Random(13)
     for bound in (1000, 100_000):
-        products = [trialdiv.prime_product(1, bound)]
+        product = trialdiv.prime_product(1, bound)
         ms = [rng.getrandbits(256) | (1 << 255) for _ in range(100)]
         ms = [m | 1 if rng.random() < 0.5 else m for m in ms]
-        splits = trialdiv.batch_factor(ms, products)
+        splits = trialdiv.batch_factor(ms, product)
         for m, s in zip(ms, splits):
             c, rest = naive_split(m, bound)
             assert s.m == m and s.c == c and s.nprime == rest
             assert s.c * s.nprime == m
-            assert math.gcd(s.nprime, products[0].value) == 1
-
-
-def test_batch_factor_multi_range_equals_single():
-    rng = random.Random(14)
-    bound = 1 << 14
-    multi = [
-        trialdiv.prime_product(1, 1 << 12),
-        trialdiv.prime_product(1 << 12, 1 << 13),
-        trialdiv.prime_product(1 << 13, bound),
-    ]
-    single = trialdiv.prime_product(1, bound)
-    ms = [rng.getrandbits(192) | (1 << 191) | 1 for _ in range(60)]
-    a = trialdiv.batch_factor(ms, multi)
-    b = trialdiv.batch_factor(ms, [single])
-    assert [(s.c, s.nprime) for s in a] == [(s.c, s.nprime) for s in b]
+            assert math.gcd(s.nprime, product.value) == 1
 
 
 def test_batch_factor_smoothness_certified():
@@ -380,9 +370,9 @@ def test_batch_factor_smoothness_certified():
     must exhaust it."""
     rng = random.Random(15)
     bound = 1000
-    products = [trialdiv.prime_product(1, bound)]
+    product = trialdiv.prime_product(1, bound)
     ms = [rng.getrandbits(128) | (1 << 127) for _ in range(50)]
-    for m, s in zip(ms, trialdiv.batch_factor(ms, products)):
+    for m, s in zip(ms, trialdiv.batch_factor(ms, product)):
         c = s.c
         for p in map(int, trialdiv.primes_up_to(bound)):
             while c % p == 0:
