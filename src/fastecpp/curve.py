@@ -1,9 +1,15 @@
 """Elliptic curves over Z/NZ tolerant of composite moduli.
 
-All point arithmetic is affine with every inversion validated
-(`scalar_mul_checked`), so a divergence between the prime factors of a
-composite modulus cannot pass silently.  The prover's point search
-(`find_order_point`) and the certificate verifier both use it.
+Scalar multiplication (`scalar_mul_checked`) returns exactly what the
+left-to-right double-and-add chain in affine coordinates with every
+inversion validated returns, so a divergence between the prime factors of
+a composite modulus cannot pass silently.  It runs that same chain in
+Jacobian coordinates and pays one inversion per chain instead of one per
+group operation: the Jacobian Z is a product of powers of the affine
+denominators, so it is a unit exactly when every affine step took its
+generic branch with an invertible denominator.  Any other chain falls
+back to the affine loop.  The prover's point search (`find_order_point`)
+and the certificate verifier both use it.
 """
 
 import math
@@ -27,7 +33,7 @@ class Curve:
 
 
 # ---------------------------------------------------------------------------
-# checked affine arithmetic (verification grade)
+# checked arithmetic (verification grade)
 
 Affine = tuple[int, int] | None  # None is the identity
 
@@ -62,18 +68,82 @@ def _add_affine_checked(p: Affine, q: Affine, e: Curve) -> Affine:
     return (x3, y3)
 
 
-def scalar_mul_checked(p: Affine, k: int, e: Curve) -> Affine:
-    """[k]P in affine coordinates, sound for composite moduli."""
-    if k < 0:
-        raise ValueError("scalar must be non-negative")
+def _scalar_mul_affine(p: Affine, k: int, e: Curve) -> Affine:
+    """[k]P by the affine double-and-add chain, one checked inversion per step."""
     acc: Affine = None
-    if p is None:
-        return None
     for bit in bin(k)[2:] if k else "":
         acc = _add_affine_checked(acc, acc, e)
         if bit == "1":
             acc = _add_affine_checked(acc, p, e)
     return acc
+
+
+Jacobian = tuple[int, int, int]  # (X, Y, Z) stands for (X/Z^2, Y/Z^3)
+
+
+def _double_jacobian(p: Jacobian, a: int, n: int) -> Jacobian:
+    """2P without inversion; Z3 = 2 Y Z, which is Z^4 times the affine 2y."""
+    x, y, z = p
+    yy = y * y % n
+    zz = z * z % n
+    s = 4 * x * yy % n
+    m = (3 * x * x + a * zz * zz) % n
+    x3 = (m * m - 2 * s) % n
+    y3 = (m * (s - x3) - 8 * yy * yy) % n
+    return x3, y3, 2 * y * z % n
+
+
+def _add_mixed(p: Jacobian, q: tuple[int, int], n: int) -> Jacobian:
+    """P + Q for affine Q without inversion; Z3 = Z H with H = Z^2 (x_Q - x_P)."""
+    x1, y1, z1 = p
+    x2, y2 = q
+    zz = z1 * z1 % n
+    h = (x2 * zz - x1) % n
+    r = (y2 * zz * z1 - y1) % n
+    hh = h * h % n
+    hhh = h * hh % n
+    v = x1 * hh % n
+    x3 = (r * r - hhh - 2 * v) % n
+    y3 = (r * (v - x3) - y1 * hhh) % n
+    return x3, y3, z1 * h % n
+
+
+def scalar_mul_checked(p: Affine, k: int, e: Curve) -> Affine:
+    """[k]P, exactly as the affine double-and-add chain computes it.
+
+    The chain doubles for every bit of k after the leading one and adds P
+    for every set bit, as `_scalar_mul_affine` does, and so returns the
+    same point, None or CompositeDetected for any modulus n >= 2, prime or
+    not.
+    Every operation but the last runs in Jacobian coordinates.  Z starts
+    at 1; a doubling multiplies it by Z^3 times the affine denominator 2y,
+    an addition of P by Z^2 times x_P - x.  So Z is a unit exactly when
+    every affine step so far took its generic branch with an invertible
+    denominator, and then both computations give the same point.  One gcd
+    decides: a unit Z is inverted once and the last operation runs in
+    `_add_affine_checked`, so an accepting [N']Q = O needs no fallback; any
+    other Z reruns the affine chain from the start.
+    """
+    if k < 0:
+        raise ValueError("scalar must be non-negative")
+    if p is None or k < 2:
+        return p if k else None
+    n = e.n
+    bits = bin(k)[3:]
+    acc: Jacobian = (p[0], p[1], 1)
+    for bit in bits[:-1]:
+        acc = _double_jacobian(acc, e.a, n)
+        if bit == "1":
+            acc = _add_mixed(acc, p, n)
+    if bits[-1] == "1":
+        acc = _double_jacobian(acc, e.a, n)
+    x, y, z = acc
+    if math.gcd(z, n) != 1:
+        return _scalar_mul_affine(p, k, e)
+    zinv = pow(z, -1, n)
+    zinv2 = zinv * zinv % n
+    last = (x * zinv2 % n, y * zinv2 * zinv % n)
+    return _add_affine_checked(last, p if bits[-1] == "1" else last, e)
 
 
 def is_on_curve(p: Affine, e: Curve) -> bool:

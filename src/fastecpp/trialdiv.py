@@ -47,10 +47,11 @@ _EXACT = decimal.Context(
     traps=[decimal.Inexact, decimal.Rounded, decimal.InvalidOperation,
            decimal.DivisionByZero, decimal.Overflow],
 )
-# Decimal(int) is quadratic in the size of the int; below this many bits
-# that costs less than splitting further.
+# Decimal(int) and int(Decimal) are quadratic in the size of the number;
+# below this many bits (digits) that costs less than splitting further.
 _CONVERT_BITS = 1024
 _LOG2_10 = math.log2(10)
+_CONVERT_DIGITS = int(_CONVERT_BITS / _LOG2_10)
 # Roots of fewer digits are reduced by `%` (measured, see above).
 _BARRETT_DIGITS = 4900
 _ONE = Decimal(1)
@@ -115,6 +116,8 @@ def to_decimal(n: int) -> Decimal:
     """
     if n < 0:
         raise ValueError("n must be >= 0")
+    if n.bit_length() <= _CONVERT_BITS:
+        return Decimal(n)
     pow2: dict[int, Decimal] = {}
 
     def convert(n: int, w: int) -> Decimal:  # 0 <= n < 2^w
@@ -129,6 +132,31 @@ def to_decimal(n: int) -> Decimal:
 
     with decimal.localcontext(_EXACT):
         return convert(n, n.bit_length())
+
+
+def to_int(x: Decimal) -> int:
+    """Exact int copy of an integral Decimal x >= 0; the inverse of to_decimal.
+
+    x = hi * 10^h + lo with h half its digit count, split exactly in
+    Decimal and joined recursively in int, so int(Decimal) only sees
+    numbers of at most `_CONVERT_DIGITS` digits.
+    """
+    if x.adjusted() < _CONVERT_DIGITS:
+        return int(x)
+    pow10: dict[int, int] = {}
+
+    def convert(x: Decimal, w: int) -> int:  # 0 <= x < 10^w
+        if w <= _CONVERT_DIGITS:
+            return int(x)
+        h = w >> 1
+        ten_h = pow10.get(h)
+        if ten_h is None:
+            ten_h = pow10[h] = 10**h
+        hi = x.scaleb(-h).to_integral_value(decimal.ROUND_DOWN)
+        return convert(hi, w - h) * ten_h + convert(x - hi.scaleb(h), h)
+
+    with decimal.localcontext(_EXACT):
+        return convert(x, x.adjusted() + 1)
 
 
 @dataclass
@@ -230,10 +258,11 @@ def remainder_tree(p: int | Decimal | PrimeProduct, ms: list[int]) -> list[int]:
     P >= 0 is an int, an exact integral Decimal, or a PrimeProduct, whose
     Decimal copy and digit string are kept on it; an int is converted on
     each call.  The tree runs in exact decimal arithmetic (see the module
-    docstring) and the remainders come back as ints.  The leaves are cut
-    into consecutive batches whose product stays at or below about
-    bitlen(P)/4 bits (one leaf minimum).  Each batch builds its product
-    levels once, reduces P by the root, and walks down: a node's
+    docstring); leaves go in by `to_decimal` and the remainders come back
+    by `to_int`, both subquadratic in the size of the number.  The leaves
+    are cut into consecutive batches whose product stays at or below
+    about bitlen(P)/4 bits (one leaf minimum).  Each batch builds its
+    product levels once, reduces P by the root, and walks down: a node's
     remainder is its parent's remainder mod the node.  A root of fewer
     than 4900 digits (about 16.3 kbits) is reduced by libmpdec's `%`, a
     larger one by `_barrett_mod`.  Batch boundaries do not change the
@@ -254,7 +283,7 @@ def remainder_tree(p: int | Decimal | PrimeProduct, ms: list[int]) -> list[int]:
     out: list[int] = []
     with decimal.localcontext(_EXACT):
         for batch in _batches(ms, _batch_cap(p)):
-            levels = list(_product_levels([Decimal(m) for m in batch]))
+            levels = list(_product_levels([to_decimal(m) for m in batch]))
             root = levels.pop()[0]
             if root.adjusted() + 1 < _BARRETT_DIGITS:
                 rems = [p % root]
@@ -263,7 +292,7 @@ def remainder_tree(p: int | Decimal | PrimeProduct, ms: list[int]) -> list[int]:
                 rems = [_barrett_mod(digits, root)]
             while levels:
                 rems = [rems[i >> 1] % m for i, m in enumerate(levels.pop())]
-            out += map(int, rems)
+            out += map(to_int, rems)
     return out
 
 

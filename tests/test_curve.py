@@ -1,11 +1,14 @@
+import os
 import random
 
 import pytest
 
-from fastecpp import curve
+from fastecpp import cert, curve
 from fastecpp.curve import Curve
 from fastecpp.errors import CompositeDetected
 from fastecpp.numth import is_probable_prime, jacobi, sqrt_mod
+
+DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
 # ---------------------------------------------------------------------------
 # oracle: affine chord-tangent arithmetic over a prime field
@@ -128,6 +131,89 @@ def test_scalar_mul_rejects_negative():
         curve.scalar_mul_checked((3, 6), -1, e)
     with pytest.raises(ValueError):
         curve.scalar_mul_checked((3, 6), -2, e)
+
+
+# ---------------------------------------------------------------------------
+# the one-inversion chain against the affine chain
+
+
+def affine_chain(p, k, e: Curve):
+    """The affine double-and-add chain with checked inversions: the oracle
+    that `scalar_mul_checked` must agree with, including every raise."""
+    if k < 0:
+        raise ValueError("scalar must be non-negative")
+    acc = None
+    if p is None:
+        return None
+    for bit in bin(k)[2:] if k else "":
+        acc = curve._add_affine_checked(acc, acc, e)
+        if bit == "1":
+            acc = curve._add_affine_checked(acc, p, e)
+    return acc
+
+
+def outcome(f, *args):
+    """f(*args) as a comparable value: the point, or the raise's details."""
+    try:
+        return ("point", f(*args))
+    except CompositeDetected as exc:
+        return ("composite", exc.reason, exc.factor, exc.n)
+
+
+@pytest.fixture
+def fallbacks(monkeypatch):
+    """Counts the chains that fell back to the affine loop."""
+    calls = []
+    inner = curve._scalar_mul_affine
+
+    def counted(p, k, e):
+        calls.append(k)
+        return inner(p, k, e)
+
+    monkeypatch.setattr(curve, "_scalar_mul_affine", counted)
+    return calls
+
+
+def test_scalar_mul_matches_affine_chain_composite_moduli(fallbacks):
+    """n = p q with distinct primes below 200 and a point built by CRT:
+    the same point, None or CompositeDetected as the affine chain, with
+    both the one-inversion path and the fallback taken."""
+    rng = random.Random(50)
+    primes = [p for p in range(2, 200) if is_probable_prime(p)]
+    cases = 10_000
+    for _ in range(cases):
+        p, q = rng.sample(primes, 2)
+        n = p * q
+        a = rng.randrange(n)
+        # a point (x, y) mod each factor, joined by CRT, fixes b
+        ep, eq = q * pow(q, -1, p), p * pow(p, -1, q)  # idempotents mod n
+        x = (rng.randrange(p) * ep + rng.randrange(q) * eq) % n
+        y = (rng.randrange(p) * ep + rng.randrange(q) * eq) % n
+        b = (y * y - x * x * x - a * x) % n
+        e = Curve(n, a, b)
+        assert curve.is_on_curve((x, y), e)
+        k = rng.randrange(3 * n)
+        assert outcome(curve.scalar_mul_checked, (x, y), k, e) == outcome(
+            affine_chain, (x, y), k, e), (n, a, b, x, y, k)
+    assert 0 < len(fallbacks) < cases
+
+
+def test_scalar_mul_matches_affine_chain_on_certificates(fallbacks):
+    """[c]P and [N'][c]P for every step of the stored certificates, with
+    no fallback: an accepting [N']Q = O ends in the affine last step."""
+    steps = 0
+    for name in ("cert_10pow20.txt", "cert_10pow50.txt", "cert_10pow100.txt"):
+        with open(os.path.join(DATA_DIR, name), encoding="ascii") as f:
+            c = cert.parse(f.read())
+        for s in c.steps:
+            e = Curve(s.n, s.a, s.b)
+            q = curve.scalar_mul_checked((s.px, s.py), s.c, e)
+            assert q is not None and q == affine_chain((s.px, s.py), s.c, e)
+            assert curve.scalar_mul_checked(q, s.nprime, e) is None
+            assert affine_chain(q, s.nprime, e) is None
+            steps += 1
+    assert steps == 9
+    assert fallbacks == []
 
 
 # ---------------------------------------------------------------------------

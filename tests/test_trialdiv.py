@@ -168,6 +168,28 @@ def test_to_decimal_round_trip():
         trialdiv.to_decimal(-1)
 
 
+def test_to_int_round_trip():
+    """to_int inverts to_decimal around its cutoff and far above it, and
+    takes an integral Decimal written with a positive exponent."""
+    rng = random.Random(17)
+    k = trialdiv._CONVERT_DIGITS
+    ns = [0, 1, 10**k - 1, 10**k, 10**k + 1, 10 ** (2 * k + 1)]
+    for bits in (64, 1023, 1024, 1025, 2049, 10_007, 100_003, 2_000_000):
+        ns += [rng.getrandbits(bits) | (1 << (bits - 1)), (1 << bits) - 1]
+    for n in ns:
+        got = trialdiv.to_int(trialdiv.to_decimal(n))
+        assert type(got) is int and got == n, n.bit_length()
+    assert trialdiv.to_int(Decimal((0, (1, 7), 3 * k))) == 17 * 10 ** (3 * k)
+
+
+@pytest.mark.parametrize("bits", [400_000, 1_600_000])
+def test_remainder_tree_single_large_modulus(product_2_20, bits):
+    """One modulus of about 400 kbits, and one above the 1.51-Mbit P."""
+    rng = random.Random(bits)
+    m = rng.getrandbits(bits) | (1 << (bits - 1)) | 1
+    assert trialdiv.remainder_tree(product_2_20, [m]) == [product_2_20.value % m]
+
+
 def _tree_matches_oracle(pp: trialdiv.PrimeProduct, ms: list[int]) -> None:
     """remainder_tree equals p % m for an int P and for its Decimal copy."""
     expect = [pp.value % m for m in ms]
