@@ -26,14 +26,15 @@ EXIT_GIVEUP = 3
 
 _UNARY = {ast.UAdd: operator.pos, ast.USub: operator.neg}
 _BINARY = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul, ast.Pow: pow}
-_MAX_POWER_BITS = 1 << 20
+_MAX_BITS = 1 << 20
 
 
 def _evaluate(node: ast.AST) -> int:
     """Value of an expression tree of int literals, + - * and **.
 
-    A power is refused before it is computed if its exponent is negative
-    or bitlen(base) * exponent exceeds _MAX_POWER_BITS.
+    Any value above _MAX_BITS bits is refused.  A power is refused
+    before it is computed if its exponent is negative or
+    bitlen(base) * exponent exceeds _MAX_BITS.
     """
     if isinstance(node, ast.Constant) and type(node.value) is int:
         return node.value
@@ -42,10 +43,13 @@ def _evaluate(node: ast.AST) -> int:
     if isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
         left, right = _evaluate(node.left), _evaluate(node.right)
         if isinstance(node.op, ast.Pow) and (
-            right < 0 or left.bit_length() * right > _MAX_POWER_BITS
+            right < 0 or left.bit_length() * right > _MAX_BITS
         ):
             raise ValueError("power with a negative exponent or above 2^20 bits")
-        return _BINARY[type(node.op)](left, right)
+        value = _BINARY[type(node.op)](left, right)
+        if value.bit_length() > _MAX_BITS:
+            raise ValueError("value above 2^20 bits")
+        return value
     raise ValueError(f"unsupported expression element: {type(node).__name__}")
 
 

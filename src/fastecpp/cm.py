@@ -336,13 +336,14 @@ def poly_eval_mod(coeffs: list[int], x: int, n: int) -> int:
     return acc
 
 
-def root_mod(poly: ClassPolynomial, n: int, rng: random.Random | None = None) -> int:
+def root_mod(poly: ClassPolynomial, n: int, rng: random.Random) -> int:
     """One root of the class polynomial modulo the probable prime n.
 
     Isolates a single root by randomised equal-degree splitting of f
     itself with (x + delta)^((n-1)/2) - 1, keeping the smaller factor of
     each proper split.  Both powers are computed modulo the current
     factor by Kronecker substitution and row reduction (see `_Modulus`).
+    Every draw comes from `rng`, so the root is fixed by its state.
 
     No gcd(x^n - x, f) is taken up front, because for the prover's
     inputs it is f.  A prime n with 4n = t^2 + |D| v^2 splits completely
@@ -367,7 +368,6 @@ def root_mod(poly: ClassPolynomial, n: int, rng: random.Random | None = None) ->
     """
     if n % 2 == 0 or n < 3:
         raise ValueError("root_mod: modulus must be odd and >= 3")
-    rng = rng if rng is not None else random.Random()
     f = _ptrim([c % n for c in poly.coeffs])
     if len(f) < 2:
         raise CompositeDetected("degenerate-class-poly", n=n)

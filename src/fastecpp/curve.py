@@ -207,19 +207,21 @@ def curves_from_j(j0: int, n: int) -> list[Curve]:
     return [Curve(n, a, b), Curve(n, a * g2 % n, b * g3 % n)]
 
 
+_POINT_TRIES = 8  # random points per twist
+
+
 def find_order_point(
     curves: list[Curve],
     m: int,
     c: int,
     nprime: int,
     rng: random.Random,
-    tries: int = 8,
 ) -> tuple[Curve, tuple[int, int], tuple[int, int]] | None:
     """Search the twist list for a point of order nprime.
 
     Random x-coordinates are completed to points by a modular square
     root; Q = [c]P is accepted when Q is not the identity and [nprime]Q
-    is.  Up to `tries` points are spent per curve; a non-identity
+    is.  Up to `_POINT_TRIES` points are spent per curve; a non-identity
     [nprime]Q moves on to the next twist (wrong cardinality).  Returns
     (curve, P, Q) with both points affine, or None when every twist
     failed.  Composite evidence from the arithmetic propagates.
@@ -230,8 +232,8 @@ def find_order_point(
         if e.discriminant_gcd() != 1:
             continue
         attempts = 0
-        budget = tries * 16
-        while attempts < tries and budget > 0:
+        budget = _POINT_TRIES * 16
+        while attempts < _POINT_TRIES and budget > 0:
             budget -= 1
             x = rng.randrange(e.n)
             ysq = (x * x % e.n * x + e.a * x + e.b) % e.n

@@ -185,8 +185,8 @@ def signed_prime_stream(n: int) -> Iterator[int]:
     A signed prime is a prime discriminant factor: -4, 8, -8, or q* = q
     for an odd prime q = 1 (mod 4) and -q for q = 3 (mod 4), so q* is
     always 0 or 1 mod 4.  The order is -3, -4, 5, -7, -8, 8, -11, ...:
-    ties at |q*| = 8 are broken as -8 before 8.  The sieve runs over
-    (lo, hi] and then continues over (hi, 4 hi], so no prime comes twice.
+    ties at |q*| = 8 are broken as -8 before 8.  The primes come in
+    windows (lo, hi], then (hi, 4 hi], so no prime comes twice.
     A q* with (q*|n) = 0 and gcd giving a proper divisor of n raises
     CompositeDetected.
     """
@@ -221,8 +221,8 @@ def _factor_small(m: int) -> tuple[int, ...]:
 
 
 # Most position tuples `enumerate_pool_discs` makes in one array pass.  At
-# three parts the call traced 0.8 MB above its 1.9 MB result for 256 signed
-# primes, and 4.9 MB above 14.9 MB for 4096 (the final sort included).
+# three parts, with no bound on h, the call traced 0.5 MB above its 4.4 MB
+# result for 256 signed primes, and 1.1 MB above 11.3 MB for 4096.
 _TUPLE_BLOCK = 1 << 13
 
 
@@ -248,9 +248,10 @@ def enumerate_pool_discs(
     up to `maxparts` of them, restricted to |D| <= dmax, h(D) <= hmax and
     max prime of h(D) <= pmax.  (Two even signed primes never meet in one
     D: their product is divisible by 16, so D is not fundamental.)  Each
-    D comes from one set of signed primes, so sorting by ascending class
-    number, then |D|, is a total order: small h makes the
-    curve-construction phase cheap.
+    D comes from one set of signed primes, so it appears once.  The
+    entries come in the order the enumeration makes them; no decision
+    reads that order: `choose_k` sorts by rank, and a step tries its
+    candidates by ascending N'.
 
     The position tuples are built in numpy one part at a time: a tuple
     ending at position i with product p extends by every k > i with
@@ -292,26 +293,19 @@ def enumerate_pool_discs(
     # from the empty tuple: no position, product 1
     extend(np.empty((1, 0), dtype=np.int64), np.array([-1]), np.ones(1, dtype=np.int64))
     d = np.concatenate(found_d)
-    h = table._h[-d]
-    order = np.lexsort((-d, h))
-    return list(map(Disc, d[order].tolist(), h[order].tolist(),
-                    np.concatenate(found_rank)[order].tolist(),
-                    map(found_parts.__getitem__, order.tolist())))
+    return list(map(Disc, d.tolist(), table._h[-d].tolist(),
+                    np.concatenate(found_rank).tolist(), found_parts))
 
 
 def build_pool(n: int, entries: list[Disc], roots: dict[int, int]) -> list[Disc]:
-    """Discriminant pool for modulus n with square roots attached.
+    """The entries with square roots of D modulo n attached.
 
-    `entries` is an `enumerate_pool_discs` list, possibly over a wider set
-    of signed primes than `roots`, which maps qstar -> square root of qstar
-    mod n.  The pool keeps, in the order of `entries`, each entry whose
-    parts all have roots, and attaches root = product of the component
+    `roots` maps qstar -> square root of qstar mod n and holds every part
+    of every entry.  Each entry gets root = the product of its parts'
     roots, so root^2 = D (mod n) by construction.
     """
     pool: list[Disc] = []
     for entry in entries:
-        if any(qs not in roots for qs in entry.parts):
-            continue
         r = 1
         for qs in entry.parts:
             r = r * roots[qs] % n

@@ -2,13 +2,15 @@
 
 Jacobi symbols, Miller-Rabin probable-prime tests (deterministic below
 2**64) that can name their witness, a round count from the
-Damgard-Landrock-Pomerance bound, Tonelli-Shanks square roots, and the
-modified Cornacchia solver for 4N = t^2 + |D| v^2.  Everything here is a
-pure function (the square root memoises constants of its last few moduli);
-all are safe for concurrent use.
+Damgard-Landrock-Pomerance bound, Tonelli-Shanks square roots, the
+modified Cornacchia solver for 4N = t^2 + |D| v^2, and the derivation of
+child seeds.  Everything here is a pure function (the square root
+memoises constants of its last few moduli); all are safe for concurrent
+use.
 """
 
 import functools
+import hashlib
 import math
 import random
 
@@ -246,3 +248,16 @@ def is_perfect_square(x: int) -> bool:
         return False
     r = math.isqrt(x)
     return r * r == x
+
+
+def derive_seed(master: int, *tags) -> int:
+    """Derive a child seed from a master seed and a tag tuple.
+
+    Every random choice in the prover and the sampler draws from a child
+    seed derived from the master seed and a tag naming the choice, so a
+    run is reproduced exactly by its master seed.  Uses SHA-256 over a
+    canonical repr, so results are stable across runs, platforms and
+    PYTHONHASHSEED values.
+    """
+    blob = repr((int(master),) + tuple(tags)).encode()
+    return int.from_bytes(hashlib.sha256(blob).digest()[:16], "big")

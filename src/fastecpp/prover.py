@@ -27,11 +27,11 @@ from .numth import (
     DETERMINISTIC_THRESHOLD,
     compositeness_witness,
     cornacchia,
+    derive_seed,
     is_probable_prime,
     mr_rounds,
     sqrt_mod,
 )
-from .parallel import derive_seed
 from .stats import EULER_GAMMA
 
 
@@ -63,7 +63,6 @@ class ProveConfig:
 
 
 _SUBJECT_ROUNDS = 64     # Miller-Rabin rounds for the subject n
-_POINT_TRIES = 8         # random points per twist
 
 
 @dataclass
@@ -84,7 +83,6 @@ class Candidate:
 
     entry: disc.Disc
     t: int
-    v: int
     m: int
     c: int
     nprime: int
@@ -102,7 +100,6 @@ class StepStats:
     d: int = 0
     h: int = 0
     nprime_bits: int = 0
-    expected: float = 0.0
 
 
 @dataclass
@@ -110,7 +107,7 @@ class RunReport:
     """The one recorder of a proof: step counters, substep times, progress.
 
     `substep_seconds` sums the `timed` blocks by name: `pool` (signed
-    primes, pool enumeration and ranking, the choice of k), `roots`,
+    primes, pool enumeration, the choice of k), `roots`,
     `cornacchia`, `trialdiv`, `mr`, `classpoly`, `rootmod`, `point`, and
     `setup` (tables), `subject` (the test of n) and `verify` (the
     self-check).  No two blocks overlap, and together they cover nearly
@@ -438,10 +435,10 @@ def run_step(
                 roots[qs] = r
             reachable = [e for e in entries if e.rank < budget]
             stats.pool_size = len(reachable)
-            stats.expected = expected_candidates(reachable, params.bits, params.b)
+            expected = expected_candidates(reachable, params.bits, params.b)
         head = f"step {step_index} round {rnd}"
         report.progress(f"{head} roots", "pool", "roots", k=k, budget=budget,
-                        expected_nprime=f"{stats.expected:.2f}")
+                        expected_nprime=f"{expected:.2f}")
 
         # --- substep 2: Cornacchia over the round's new discriminants ----
         with report.timed("cornacchia"):
@@ -458,14 +455,14 @@ def run_step(
         # --- substep 3: batched trial division ---------------------------
         with report.timed("trialdiv"):
             skeletons = []
-            for e, (t, v) in hits:
+            for e, (t, _v) in hits:
                 for m in {n + 1 - t, n + 1 + t}:
-                    skeletons.append((e, t, v, m))
-            splits = trialdiv.batch_factor([m for (_, _, _, m) in skeletons], product)
+                    skeletons.append((e, t, m))
+            splits = trialdiv.batch_factor([m for (_, _, m) in skeletons], product)
             candidates = []
-            for (e, t, v, m), sp in zip(skeletons, splits):
+            for (e, t, m), sp in zip(skeletons, splits):
                 if sp.c >= 2 and cert_mod.exceeds_quartic_floor(sp.nprime, n):
-                    candidates.append(Candidate(e, t, v, m, sp.c, sp.nprime))
+                    candidates.append(Candidate(e, t, m, sp.c, sp.nprime))
             candidates.sort(key=lambda cand: cand.nprime)
             stats.candidates += len(candidates)
         report.progress(f"{head} trialdiv", "trialdiv", ms=len(skeletons),
@@ -513,9 +510,7 @@ def _phase2(
     with report.timed("point"):
         twists = curve.curves_from_j(j0, n)
         rng = random.Random(derive_seed(step_seed, "point", *tag))
-        found = curve.find_order_point(
-            twists, cand.m, cand.c, cand.nprime, rng, tries=_POINT_TRIES
-        )
+        found = curve.find_order_point(twists, cand.m, cand.c, cand.nprime, rng)
     report.progress(f"step {step_index} phase2", "rootmod", "point", D=d, h=cand.entry.h,
                     outcome="failure" if found is None else "ok")
     if found is None:

@@ -14,8 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import trialdiv
-from .numth import is_probable_prime, mr_rounds
-from .parallel import derive_seed
+from .numth import derive_seed, is_probable_prime, mr_rounds
 
 # Euler-Mascheroni constant to 50 decimal digits.
 EULER_GAMMA_STR = "0.57721566490153286060651209008240243104215933593992"

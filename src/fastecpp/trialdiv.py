@@ -70,23 +70,9 @@ def primes_up_to(n: int) -> np.ndarray:
 
 
 def primes_in_range(lo: int, hi: int) -> list[int]:
-    """Primes p with lo < p <= hi, via a segmented sieve."""
-    if hi <= lo:
-        return []
-    base = primes_up_to(math.isqrt(hi))
-    seg = np.ones(hi - lo, dtype=bool)  # index i -> lo + 1 + i
-    for p in base:
-        p = int(p)
-        start = max(p * p, ((lo + 1 + p - 1) // p) * p)
-        if start > hi:
-            continue
-        seg[start - lo - 1 :: p] = False
-    if lo < 1:
-        seg[: 1 - lo] = False  # mask values < 2
-    if lo < 2 <= hi:
-        seg[2 - lo - 1] = True
-    vals = np.nonzero(seg)[0] + lo + 1
-    return [int(v) for v in vals if v >= 2]
+    """Primes p with lo < p <= hi, filtered from `primes_up_to(hi)`."""
+    p = primes_up_to(hi)
+    return p[p > lo].tolist()
 
 
 def _product_levels(values: list):

@@ -128,7 +128,8 @@ def test_prove_bad_expression_exits_2():
     assert run_cli(["prove", "not a number", "--quiet"]) == 2
 
 
-@pytest.mark.parametrize("expr", ["10^10^10", "2^(2^21)", "10^-5", "__import__('os')"])
+@pytest.mark.parametrize("expr", ["10^10^10", "2^(2^21)", "10^-5", "__import__('os')",
+                                  "2^524000*2^524000*2^524000"])
 def test_prove_unbounded_or_foreign_expression_exits_2(capsys, expr):
     assert run_cli(["prove", expr, "--quiet"]) == 2
     assert capsys.readouterr().err.startswith("error: ")

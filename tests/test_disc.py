@@ -226,8 +226,7 @@ def _roots_for(n: int, qstars: list[int]) -> dict[int, int]:
 def enumerate_pool_discs_oracle(qstars, table, dmax, hmax, pmax, maxparts):
     """The enumeration as a depth-first walk over positions of `qstars`:
     each tuple i_1 < ... < i_r (at most one even signed prime, every
-    prefix within dmax) is visited before its extensions, then the list
-    is sorted stably by (h, -D)."""
+    prefix within dmax) is visited before its extensions."""
     dmax = min(dmax, table.dmax)
     found = []
 
@@ -256,12 +255,16 @@ def enumerate_pool_discs_oracle(qstars, table, dmax, hmax, pmax, maxparts):
             extend(i + 1, prod * qs, parts + (qs,), used_even or qs % 2 == 0)
 
     extend(0, 1, (), False)
-    found.sort(key=lambda e: (e.h, -e.d))
     return found
 
 
 def _fields(entries):
-    return [(e.d, e.h, e.rank, e.parts) for e in entries]
+    """The entries' fields, sorted by (rank, d): the pool has no order."""
+    return sorted((e.rank, e.d, e.h, e.parts) for e in entries)
+
+
+def _with_roots(entries):
+    return sorted((e.rank, e.d, e.h, e.root) for e in entries)
 
 
 def _ranked(universe, entries):
@@ -273,8 +276,8 @@ def _ranked(universe, entries):
 @pytest.mark.parametrize("maxparts", [1, 2, 3, 4])
 def test_enumeration_matches_oracle_on_stream_universes(env, seed, maxparts):
     """Universes cut from `signed_prime_stream`, each signed prime once:
-    the same entries in the same order, one per D, and the same ranks and
-    pools built from them."""
+    the same entries, one per D, and the same ranks and pools built from
+    them."""
     rng = random.Random(seed)
     while True:
         n = rng.randrange(10**30, 10**31) | 1
@@ -289,8 +292,8 @@ def test_enumeration_matches_oracle_on_stream_universes(env, seed, maxparts):
     assert len({e.d for e in got}) == len({e.parts for e in got}) == len(got)
     assert _ranked(universe, got) == [(e.rank, e.d, e.parts) for e in got]
     roots = _roots_for(n, universe[:40])
-    assert [(e.d, e.parts, e.root) for e in disc.build_pool(n, got, roots)] == [
-        (e.d, e.parts, e.root) for e in disc.build_pool(n, expect, roots)]
+    assert _with_roots(disc.build_pool(n, [e for e in got if e.rank < 40], roots)) == (
+        _with_roots(disc.build_pool(n, [e for e in expect if e.rank < 40], roots)))
 
 
 EVEN = [-4, -8, 8]
@@ -361,8 +364,6 @@ def test_build_pool_respects_bounds_and_order(env):
     qstars = signed_primes(n, 12)
     pool = _pool(n, qstars, table, 10_000, 16, 29, 3)
     assert pool, "pool should not be empty with 12 signed primes"
-    keys = [(e.h, -e.d) for e in pool]
-    assert keys == sorted(keys)
     for e in pool:
         assert fundamental_oracle(e.d)
         assert -e.d <= 10_000 and e.h <= 16
@@ -385,24 +386,18 @@ def test_build_pool_deterministic(table2000):
 
 
 def test_build_pool_from_wider_enumeration(env):
-    """A pool cut from an enumeration over a wider signed-prime list equals
-    the pool enumerated from the roots' own signed primes, in order and in
-    (d, h, rank, root)."""
+    """The entries of rank < budget of an enumeration over a wider
+    signed-prime list are the enumeration over the first `budget` signed
+    primes, in (d, h, rank, parts): run_step relies on this."""
     n = 10**20 + 39
     table = env.table
     universe = signed_primes(n, 128)
     assert len(set(universe)) == len(universe)  # no signed prime repeats
     entries = disc.enumerate_pool_discs(universe, table, 1 << 20, 64, 29, 3)
     for budget in (1, 5, 16, 40, 90, 128):
-        own = universe[:budget]
-        roots = _roots_for(n, own)
-        expect = disc.build_pool(
-            n, disc.enumerate_pool_discs(own, table, 1 << 20, 64, 29, 3), roots
-        )
-        got = disc.build_pool(n, entries, roots)
-        assert [(e.d, e.h, e.rank, e.root) for e in got] == [
-            (e.d, e.h, e.rank, e.root) for e in expect
-        ], budget
+        cut = [e for e in entries if e.rank < budget]
+        expect = disc.enumerate_pool_discs(universe[:budget], table, 1 << 20, 64, 29, 3)
+        assert _fields(cut) == _fields(expect), budget
 
 
 def test_pool_discs_jacobi_positive(table2000):

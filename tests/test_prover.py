@@ -122,6 +122,21 @@ def test_golden_regression_and_determinism(cache_dir, golden_text, env):
     assert cert.serialize(c) == golden_text
 
 
+def test_pool_order_is_not_a_decision(monkeypatch, cache_dir, golden_text, env):
+    """The pool reversed gives the pinned certificates: a step tries its
+    candidates by ascending N', so no decision may read the pool's order."""
+    enumerate_pool_discs = disc.enumerate_pool_discs
+    monkeypatch.setattr(disc, "enumerate_pool_discs",
+                        lambda *args: enumerate_pool_discs(*args)[::-1])
+    with open(os.path.join(os.path.dirname(__file__), "data", "cert_10pow50.txt"),
+              encoding="ascii") as f:
+        pinned50 = f.read()
+    config = prover.ProveConfig(seed=0, cache_dir=cache_dir)
+    assert cert.serialize(prover.prove(10**20 + 39, config, env)) == golden_text
+    n50 = prover.first_probable_prime_after(10**50)
+    assert cert.serialize(prover.prove(n50, config, env)) == pinned50
+
+
 def _flip_payload_byte(blob: bytes, offset: int, mask: int) -> bytes:
     out = bytearray(blob)
     out[blob.index(b"\n") + 1 + offset] ^= mask
