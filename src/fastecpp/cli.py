@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 1 mathematical reject (composite input with a
 witness, or certificate rejection), 2 I/O, parse or argument errors
-(including a search option out of range, a number below 2 or an unusable
-cache directory), 3 give-up (including an internal error of the prover).
+(including `--b-bits` out of range, a number below 2, a `bench` digit
+count outside 1..1000 or an unusable cache directory), 3 give-up
+(including an internal error of the prover).
 """
 
 import argparse
@@ -27,6 +28,7 @@ EXIT_GIVEUP = 3
 _UNARY = {ast.UAdd: operator.pos, ast.USub: operator.neg}
 _BINARY = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul, ast.Pow: pow}
 _MAX_BITS = 1 << 20
+_BENCH_MAX_DIGITS = 1000
 
 
 def _evaluate(node: ast.AST) -> int:
@@ -82,14 +84,11 @@ def _evidence_holds(exc: CompositeDetected, n: int) -> bool:
 
 
 def _config_from_args(args) -> ProveConfig:
-    """The search options as a ProveConfig; ValueError if one is out of range."""
+    """The options `prove` and `bench` share, as a ProveConfig; ValueError
+    if `--b-bits` is out of range."""
     config = ProveConfig(
         seed=args.seed,
         b_bits=args.b_bits,
-        dmax_cap=args.dmax,
-        hmax=args.hmax,
-        pmax=args.pmax,
-        maxparts=args.maxparts,
         cache_dir=args.cache_dir,
         verbose=not args.quiet,
     )
@@ -211,8 +210,8 @@ def cmd_bench(args) -> int:
     try:
         config = _config_from_args(args)
         for nd in digits:  # every count before the first prove
-            if not 1 <= nd <= args.max_digits:
-                raise ValueError(f"{nd} digits is outside 1..{args.max_digits}")
+            if not 1 <= nd <= _BENCH_MAX_DIGITS:
+                raise ValueError(f"{nd} digits is outside 1..{_BENCH_MAX_DIGITS}")
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
@@ -242,11 +241,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--b-bits", type=int, default=20, dest="b_bits",
                        help="smoothness bound is 2^B_BITS (default 20)")
-        p.add_argument("--dmax", type=int, default=1 << 20,
-                       help="cap on |D| (default 2^20)")
-        p.add_argument("--hmax", type=int, default=64)
-        p.add_argument("--pmax", type=int, default=None)
-        p.add_argument("--maxparts", type=int, default=3)
         p.add_argument("--cache-dir", default=None)
         p.add_argument("--quiet", action="store_true")
 
@@ -275,8 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bench = sub.add_parser("bench", help="prove first primes after powers of ten")
     p_bench.add_argument("digits", type=int, nargs="*",
-                         help="digit counts, e.g. 50 100")
-    p_bench.add_argument("--max-digits", type=int, default=1000, dest="max_digits")
+                         help="digit counts from 1 to 1000, e.g. 50 100")
     common(p_bench)
     p_bench.set_defaults(func=cmd_bench)
     return parser

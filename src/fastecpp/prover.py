@@ -32,12 +32,14 @@ from .numth import (
     mr_rounds,
     sqrt_mod,
 )
-from .stats import EULER_GAMMA
+from .stats import expected_acceptance
 
 
 @dataclass
 class ProveConfig:
-    """Knobs for a proving run; defaults target desk scale.
+    """Settings of a proving run: the seed, the smoothness bound, the
+    cache directory and the progress lines.  The discriminant search has
+    one fixed shape (`_DMAX`, `_HMAX`, `_PMAX`, `_MAXPARTS`).
 
     `workers` is accepted for compatibility and ignored: the prover is
     sequential.
@@ -46,35 +48,36 @@ class ProveConfig:
     workers: int = 1
     seed: int = 0
     b_bits: int = 20                 # smoothness bound 2**b_bits
-    dmax_cap: int = 1 << 20          # cap on the discriminant bound
-    hmax: int = 64                   # largest class number considered
-    pmax: int | None = None          # None: max(29, bits // 1024)
-    maxparts: int = 3                # signed primes per discriminant
     cache_dir: str | None = None
     verbose: bool = False
 
     def validate(self) -> None:
         if not (10 <= self.b_bits <= trialdiv.MAX_B_BITS):
             raise ValueError(f"b_bits out of range (10..{trialdiv.MAX_B_BITS})")
-        if self.dmax_cap < 16:
-            raise ValueError("dmax_cap too small")
-        if self.hmax < 1 or self.maxparts < 1:
-            raise ValueError("hmax and maxparts must be >= 1")
 
+
+# The shape of every step's discriminant search, fixed at desk scale:
+# |D| <= 2^20, h(D) <= 64, every prime factor of h(D) at most 29, and at
+# most 3 signed primes per D.  FastECPP (Morain 2007) lets these bounds grow
+# with L; here the class-number table down to -2^20 builds in 0.22-0.29 s,
+# and the 12 class polynomials of the first prime after 10^200 (h <= 60)
+# take 0.13-0.15 s together (2-core Xeon, CPython 3.11).
+_DMAX = 1 << 20
+_HMAX = 64
+_PMAX = 29
+_MAXPARTS = 3
 
 _SUBJECT_ROUNDS = 64     # Miller-Rabin rounds for the subject n
 
 
 @dataclass
 class StepParams:
-    """Resolved parameters for one downrun step."""
+    """Parameters of one downrun step: the modulus size, the bound on
+    |D| and the smoothness bound B."""
 
     bits: int
     dmax: int
-    hmax: int
-    pmax: int
     b: int
-    maxparts: int
 
 
 @dataclass
@@ -182,38 +185,22 @@ class RunReport:
             f.write(self.to_text())
 
 
-def dmax_formula(bits: int) -> int:
-    """Smallest power of two at or above min(2^35, max(2^20, L^2 / 2))."""
-    v = min(1 << 35, max(1 << 20, bits * bits // 2))
-    return 1 << (v - 1).bit_length()
-
-
 def select_params(n: int, w: int = 1, config: ProveConfig | None = None) -> StepParams:
     """Deterministic step parameters for modulus n.
 
     `w` (a worker count) is accepted for compatibility and ignored.
     """
     config = config or ProveConfig()
-    bits = n.bit_length()
-    dmax = min(dmax_formula(bits), config.dmax_cap)
-    pmax = config.pmax if config.pmax is not None else max(29, bits >> 10)
-    return StepParams(
-        bits=bits,
-        dmax=dmax,
-        hmax=config.hmax,
-        pmax=pmax,
-        b=1 << config.b_bits,
-        maxparts=config.maxparts,
-    )
+    return StepParams(bits=n.bit_length(), dmax=_DMAX, b=1 << config.b_bits)
 
 
 def _survivor_weight(d: int, bits: int, b: int) -> float:
     """Expected probable-prime survivors from one discriminant D.
 
     Pell solvability of the order of 1 / sqrt(|D|), two cardinalities,
-    and a prime-after-smooth-part chance of e^gamma * log2(B) / L.
+    and the prime-after-smooth-part chance `stats.expected_acceptance`.
     """
-    return 2.0 * (math.exp(EULER_GAMMA) * math.log2(b) / bits) / math.sqrt(-d)
+    return 2.0 * expected_acceptance(bits, b) / math.sqrt(-d)
 
 
 def expected_candidates(entries: list[disc.Disc], bits: int, b: int) -> float:
@@ -366,11 +353,13 @@ def run_step(
 ) -> cert_mod.CertStep:
     """One downrun step: find (D, t, m = c * N'), then the curve and point.
 
-    Substeps: the discriminant pool and the signed-prime budget k,
-    split-prime square roots, Cornacchia over the pool discriminants new
-    to the round, batched trial division with the quartic-root floor,
-    Miller-Rabin by ascending N' keeping the smallest survivor, then the
-    class polynomial, a root mod N, and a point of order N'.
+    Substeps: the discriminant pool (|D| <= `params.dmax`, h(D) <=
+    `_HMAX` with prime factors <= `_PMAX`, at most `_MAXPARTS` signed
+    primes) and the signed-prime budget k, split-prime square roots,
+    Cornacchia over the pool discriminants new to the round, batched
+    trial division with the quartic-root floor, Miller-Rabin by ascending
+    N' keeping the smallest survivor, then the class polynomial, a root
+    mod N, and a point of order N'.
 
     The budget rule: k is chosen once per step, as the fewest signed
     primes whose discriminants reach 3 expected survivors (`choose_k`)
@@ -402,6 +391,7 @@ def run_step(
     roots: dict[int, int] = {}
     entries: list[disc.Disc] = []   # the universe's pool
     budget = rnd = 0
+    expected = 0.0                  # expected survivors of the discriminants tried so far
 
     def grow_universe(count: int) -> None:
         """Extend the universe to `count` signed primes and enumerate its pool."""
@@ -409,9 +399,7 @@ def run_step(
         if len(universe) >= count:
             return
         universe.extend(itertools.islice(stream, count - len(universe)))
-        entries = disc.enumerate_pool_discs(
-            universe, table, params.dmax, params.hmax, params.pmax, params.maxparts
-        )
+        entries = disc.enumerate_pool_discs(universe, table, params.dmax, _HMAX, _PMAX, _MAXPARTS)
 
     with report.timed("pool"):
         grow_universe(_FIRST_ROUND_CAP)
@@ -433,17 +421,17 @@ def run_step(
                 if r is None:
                     raise CompositeDetected("sqrt-failed-for-residue", n=n)
                 roots[qs] = r
-            reachable = [e for e in entries if e.rank < budget]
-            stats.pool_size = len(reachable)
-            expected = expected_candidates(reachable, params.bits, params.b)
+            # the earlier rounds tried every discriminant of rank < start
+            fresh = [e for e in entries if start <= e.rank < budget]
+            stats.pool_size += len(fresh)
+            expected += expected_candidates(fresh, params.bits, params.b)
         head = f"step {step_index} round {rnd}"
         report.progress(f"{head} roots", "pool", "roots", k=k, budget=budget,
                         expected_nprime=f"{expected:.2f}")
 
         # --- substep 2: Cornacchia over the round's new discriminants ----
         with report.timed("cornacchia"):
-            # the earlier rounds tried every discriminant of rank < start
-            fresh = disc.build_pool(n, [e for e in reachable if e.rank >= start], roots)
+            fresh = disc.build_pool(n, fresh, roots)
             hits = []
             for e in fresh:
                 tv = cornacchia(n, e.d, e.root)

@@ -63,6 +63,12 @@ def cumulative_lower_bound(alpha: float) -> float:
     return (2.0 * a - 1.0 - a * math.log(a)) / _E_GAMMA
 
 
+def expected_acceptance(bits: int, b: int) -> float:
+    """Asymptotic chance e^gamma * log2(B) / L that an L-bit integer is
+    (B-smooth) * (prime)."""
+    return _E_GAMMA * math.log2(b) / bits
+
+
 def max_statistics_gain(p_per_candidate: float, n_candidates: float) -> float:
     """Probability that the best of n candidates clears a threshold.
 
@@ -231,7 +237,7 @@ def sample(
         n_prime_conditioned=kept,
         bucket_probs=(p1, p2, p3, pe),
         acceptance_rate=kept / n_samples,
-        expected_acceptance=_E_GAMMA * math.log2(b) / bits,
+        expected_acceptance=expected_acceptance(bits, b),
         histogram_edges=edges,
         histogram_counts=counts,
     )

@@ -97,21 +97,18 @@ def test_bench_composite_without_evidence_exits_3(monkeypatch, capsys):
     assert "give-up:" in err and "composite:" not in err
 
 
-def test_bench_give_up_exits_3(capsys, cache_dir):
+def test_bench_give_up_exits_3(monkeypatch, capsys, cache_dir):
     # no D in {-3, -4, -7, -8, -11} splits for the first prime after 10^44
-    rc = run_cli([
-        "bench", "44", "--quiet", "--dmax", "16", "--hmax", "1",
-        "--maxparts", "1", "--cache-dir", cache_dir,
-    ])
+    monkeypatch.setattr(prover, "_DMAX", 16)
+    monkeypatch.setattr(prover, "_HMAX", 1)
+    monkeypatch.setattr(prover, "_MAXPARTS", 1)
+    rc = run_cli(["bench", "44", "--quiet", "--cache-dir", cache_dir])
     assert rc == 3
     assert "give-up" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [
     ["prove", "97", "--b-bits", "5"],
-    ["prove", "97", "--dmax", "8"],
-    ["prove", "97", "--hmax", "0"],
-    ["prove", "97", "--maxparts", "0"],
     ["prove", "1"],
     ["prove", "0"],
     ["bench", "20", "--b-bits", "5"],
@@ -122,6 +119,22 @@ def test_bad_search_option_or_small_number_exits_2(capsys, argv):
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and "Traceback" not in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["prove", "97", "--hmax", "8"],
+    ["prove", "97", "--pmax", "29"],
+    ["prove", "97", "--dmax", "16"],
+    ["bench", "21", "--maxparts", "3"],
+    ["bench", "21", "--max-digits", "50"],
+])
+def test_removed_search_options_are_refused(capsys, argv):
+    """The search shape is fixed: an old command line that sets it fails
+    before any proving instead of being ignored."""
+    with pytest.raises(SystemExit) as exc:
+        run_cli(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_prove_bad_expression_exits_2():

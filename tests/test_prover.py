@@ -11,28 +11,14 @@ from fastecpp.errors import CompositeDetected, GiveUp
 from fastecpp.numth import is_probable_prime, is_strong_witness
 
 
-def test_dmax_formula_spec_values():
-    # huge L: L^2/2 = 2^39 exceeds the 2^35 ceiling
-    assert prover.dmax_formula(1 << 20) == 1 << 35
-    # moderate L: the 2^20 floor dominates
-    assert prover.dmax_formula(512) == 1 << 20
-    # in between: smallest power of two not below L^2/2
-    bits = 70_000
-    v = bits * bits // 2
-    dm = prover.dmax_formula(bits)
-    assert dm >= v and dm // 2 < v and dm & (dm - 1) == 0
-
-
 def test_select_params():
-    config = prover.ProveConfig(dmax_cap=1 << 20, hmax=64)
+    config = prover.ProveConfig()
     p = prover.select_params((1 << 512) + 9, config=config)
     assert p.dmax == 1 << 20
-    assert p.pmax == 29
     assert p.b == 1 << 20
     # the worker count is accepted and ignored
     assert prover.select_params((1 << 512) + 9, 8, config) == p
-    p = prover.select_params((1 << (1 << 15)) + 9, config=config)
-    assert p.pmax == max(29, (1 << 15) // 1024) == 32
+    assert prover.select_params((1 << (1 << 15)) + 9, config=config).dmax == 1 << 20
 
 
 def test_expected_candidates_single_disc():
@@ -144,7 +130,7 @@ def _flip_payload_byte(blob: bytes, offset: int, mask: int) -> bytes:
 
 
 @pytest.mark.parametrize("name, damage", [
-    # h(-1235) = 12 is entry 1235 of the int32 table: 12 -> 76 > hmax
+    # h(-1235) = 12 is entry 1235 of the int32 table: 12 -> 76 > _HMAX
     ("class_numbers_1048576", lambda blob: _flip_payload_byte(blob, 4 * 1235, 0x40)),
     ("prime_product_1_1048576",
      lambda blob: _flip_payload_byte(blob, (len(blob) - blob.index(b"\n")) // 2, 0xFF)),
@@ -315,7 +301,7 @@ def test_progress_line_shows_time_since_the_last_line(capsys):
     assert capsys.readouterr().err == ""
 
 
-def test_give_up_on_starved_config(env, capsys):
+def test_give_up_on_starved_config(monkeypatch, env, capsys):
     """A provably empty pool must end in GiveUp, not loop or fabricate.
 
     |D| capped at 16 with square-free parts and h = 1 leaves the
@@ -326,10 +312,10 @@ def test_give_up_on_starved_config(env, capsys):
     walking the ladder up to 4096."""
     from fastecpp.numth import jacobi
 
-    config = prover.ProveConfig(
-        seed=0, dmax_cap=16, hmax=1, maxparts=1, cache_dir=env.config.cache_dir,
-        verbose=True,
-    )
+    monkeypatch.setattr(prover, "_DMAX", 16)
+    monkeypatch.setattr(prover, "_HMAX", 1)
+    monkeypatch.setattr(prover, "_MAXPARTS", 1)
+    config = prover.ProveConfig(seed=0, cache_dir=env.config.cache_dir, verbose=True)
     n = prover.first_probable_prime_after(1 << 70)
     while any(jacobi(d, n) != -1 for d in (-3, -4, -7, -8, -11)):
         n = prover.first_probable_prime_after(n)
@@ -362,12 +348,12 @@ def test_rounds_double_the_budget_then_give_up(monkeypatch, capsys, env,
     monkeypatch.setattr(prover, "_phase2", lambda *args: None)
     if universe_cap is not None:
         monkeypatch.setattr(prover, "_UNIVERSE_CAP", universe_cap)
-    narrow = {}
     if exhausted:
         monkeypatch.setattr(prover, "_FIRST_ROUND_CAP", 32)
         monkeypatch.setattr(prover, "_survivor_weight", lambda *args: 0.0)
-        narrow = {"hmax": 8, "maxparts": 1}
-    config = prover.ProveConfig(seed=0, verbose=True, cache_dir=env.config.cache_dir, **narrow)
+        monkeypatch.setattr(prover, "_HMAX", 8)
+        monkeypatch.setattr(prover, "_MAXPARTS", 1)
+    config = prover.ProveConfig(seed=0, verbose=True, cache_dir=env.config.cache_dir)
     n = prover.first_probable_prime_after(10**30)
     with pytest.raises(GiveUp, match=f"after the round at {prover._UNIVERSE_CAP} "):
         prover.prove(n, config, env)
