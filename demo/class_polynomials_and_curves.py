@@ -15,8 +15,7 @@ for d in (-3, -4, -7, -15, -23):
         f"{c}*x^{i}" if i else str(c)
         for i, c in enumerate(poly.coeffs) if c
     )
-    print(f"H_{d}(x) deg {poly.degree}: {terms}   "
-          f"(rounding residual {poly.residual:.1e})")
+    print(f"H_{d}(x) deg {poly.degree}: {terms}")
 
 # pick a prime that the principal form of D = -23 represents
 n = 1000033

@@ -2,9 +2,9 @@
 
 Exit codes: 0 success, 1 mathematical reject (composite input with a
 witness, or certificate rejection), 2 I/O, parse or argument errors
-(including `--b-bits` out of range, a number below 2, a `bench` digit
-count outside 1..1000 or an unusable cache directory), 3 give-up
-(including an internal error of the prover).
+(including a number below 2, a `bench` digit count outside 1..1000,
+`stats --sample --b-bits` outside 10..24 or an unusable cache
+directory), 3 give-up (including an internal error of the prover).
 """
 
 import argparse
@@ -84,16 +84,8 @@ def _evidence_holds(exc: CompositeDetected, n: int) -> bool:
 
 
 def _config_from_args(args) -> ProveConfig:
-    """The options `prove` and `bench` share, as a ProveConfig; ValueError
-    if `--b-bits` is out of range."""
-    config = ProveConfig(
-        seed=args.seed,
-        b_bits=args.b_bits,
-        cache_dir=args.cache_dir,
-        verbose=not args.quiet,
-    )
-    config.validate()
-    return config
+    """The options `prove` and `bench` share, as a ProveConfig."""
+    return ProveConfig(seed=args.seed, cache_dir=args.cache_dir, verbose=not args.quiet)
 
 
 def _prove_or_exit(label: str, n: int, config: ProveConfig, *env):
@@ -117,8 +109,8 @@ def _prove_or_exit(label: str, n: int, config: ProveConfig, *env):
 
 
 def cmd_prove(args) -> int:
+    config = _config_from_args(args)
     try:
-        config = _config_from_args(args)
         n = parse_number(args.number)
         if n < 2:
             raise ValueError(f"{n} is below 2")
@@ -207,14 +199,11 @@ def cmd_stats(args) -> int:
 
 def cmd_bench(args) -> int:
     digits = args.digits
-    try:
-        config = _config_from_args(args)
-        for nd in digits:  # every count before the first prove
-            if not 1 <= nd <= _BENCH_MAX_DIGITS:
-                raise ValueError(f"{nd} digits is outside 1..{_BENCH_MAX_DIGITS}")
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    for nd in digits:  # every count before the first prove
+        if not 1 <= nd <= _BENCH_MAX_DIGITS:
+            print(f"error: {nd} digits is outside 1..{_BENCH_MAX_DIGITS}", file=sys.stderr)
+            return EXIT_IO
+    config = _config_from_args(args)
     print(f"{'digits':>7} {'log2B':>6} {'#steps':>7} {'time_s':>9} {'gain/log2B':>11}")
     env = Environment(config)
     for nd in digits:
@@ -224,8 +213,8 @@ def cmd_bench(args) -> int:
             return result
         certificate, report = result
         gains = report.bit_gains()
-        ratio = (sum(gains) / len(gains) / args.b_bits) if gains else float("nan")
-        print(f"{nd:>7} {args.b_bits:>6} {len(certificate.steps):>7} "
+        ratio = (sum(gains) / len(gains) / config.b_bits) if gains else float("nan")
+        print(f"{nd:>7} {config.b_bits:>6} {len(certificate.steps):>7} "
               f"{report.wall_seconds:>9.2f} {ratio:>11.2f}")
     return EXIT_OK
 
@@ -239,8 +228,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--b-bits", type=int, default=20, dest="b_bits",
-                       help="smoothness bound is 2^B_BITS (default 20)")
         p.add_argument("--cache-dir", default=None)
         p.add_argument("--quiet", action="store_true")
 

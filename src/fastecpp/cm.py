@@ -35,15 +35,10 @@ class ClassPolynomial:
     """Monic integer polynomial whose roots are the CM j-invariants.
 
     `coeffs` is ascending (coeffs[-1] == 1, degree == class number).
-    `residual` records the worst rounding distance of the first
-    evaluation attempt, and `precision_bits` its precision, for the
-    polynomial evaluated: W where 3 does not divide d.
     """
 
     d: int
     coeffs: list[int]
-    residual: float = 0.0
-    precision_bits: int = 0
 
     @property
     def degree(self) -> int:
@@ -214,14 +209,11 @@ def hilbert_class_poly(d: int) -> ClassPolynomial:
     if not forms:
         raise ValueError(f"{d} is not a valid discriminant")
     cube_roots = d % 3 != 0
-    prec = precision_for(d, forms, cube_roots)
-    wp = prec + 32 + len(forms).bit_length()
-    residuals = []
+    wp = precision_for(d, forms, cube_roots) + 32 + len(forms).bit_length()
     for attempt in range(_MAX_PRECISION_RETRIES + 1):
         coeffs, residual = _expand(d, forms, wp << attempt, cube_roots)
-        residuals.append(residual)
         if residual < 0.25:
-            return ClassPolynomial(d, _cube_norm(coeffs) if cube_roots else coeffs, residuals[0], prec)
+            return ClassPolynomial(d, _cube_norm(coeffs) if cube_roots else coeffs)
     raise PrecisionError(f"class polynomial for D={d} did not stabilise")
 
 

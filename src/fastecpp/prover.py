@@ -17,6 +17,7 @@ import random
 import sys
 import time
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -37,23 +38,21 @@ from .stats import expected_acceptance
 
 @dataclass
 class ProveConfig:
-    """Settings of a proving run: the seed, the smoothness bound, the
-    cache directory and the progress lines.  The discriminant search has
-    one fixed shape (`_DMAX`, `_HMAX`, `_PMAX`, `_MAXPARTS`).
+    """Settings of a proving run: the seed, the cache directory and the
+    progress lines.  The smoothness bound B = 2^b_bits is fixed, as is
+    the shape of the discriminant search (`_DMAX`, `_HMAX`, `_PMAX`,
+    `_MAXPARTS`).
 
     `workers` is accepted for compatibility and ignored: the prover is
     sequential.
     """
 
+    b_bits: ClassVar[int] = 20
+
     workers: int = 1
     seed: int = 0
-    b_bits: int = 20                 # smoothness bound 2**b_bits
     cache_dir: str | None = None
     verbose: bool = False
-
-    def validate(self) -> None:
-        if not (10 <= self.b_bits <= trialdiv.MAX_B_BITS):
-            raise ValueError(f"b_bits out of range (10..{trialdiv.MAX_B_BITS})")
 
 
 # The shape of every step's discriminant search, fixed at desk scale:
@@ -67,7 +66,7 @@ _HMAX = 64
 _PMAX = 29
 _MAXPARTS = 3
 
-_SUBJECT_ROUNDS = 64     # Miller-Rabin rounds for the subject n
+_SUBJECT_ROUNDS = 64     # Miller-Rabin rounds for the subject n and its search
 
 
 @dataclass
@@ -526,7 +525,6 @@ def prove_with_report(
     raises GiveUp, as do resource limits hit first.
     """
     config = config or ProveConfig()
-    config.validate()
     if not isinstance(n, int) or n < 2:
         raise ValueError("n must be an integer >= 2")
     env = env or Environment(config)
@@ -579,13 +577,13 @@ def prove(n: int, config: ProveConfig | None = None, env: Environment | None = N
     return certificate
 
 
-def first_probable_prime_after(x: int, rounds: int = 64, rng: random.Random | None = None) -> int:
+def first_probable_prime_after(x: int, rng: random.Random | None = None) -> int:
     """Smallest probable prime strictly greater than x."""
     cand = x + 1
     if cand <= 2:
         return 2
     if cand % 2 == 0:
         cand += 1
-    while not is_probable_prime(cand, rounds, rng):
+    while not is_probable_prime(cand, _SUBJECT_ROUNDS, rng):
         cand += 2
     return cand

@@ -160,7 +160,7 @@ def sample(
     bucket up by a visible finite-size bias.  Draws are seeded per
     fixed-size chunk and each Miller-Rabin test per sample index.
     `workers` is accepted for compatibility and ignored.
-    B lies in [2^10, 2^24] (`trialdiv.MAX_B_BITS`), as for `prove`;
+    B lies in [2^10, 2^24] (`trialdiv.MAX_B_BITS`);
     `env_products`, when given, is [the product of the primes in (1, B]],
     as `prover.Environment.ensure_products` returns it.
 

@@ -170,8 +170,8 @@ class PrimeProduct:
         return str(self.decimal_value)
 
 
-# Largest log2 of the smoothness bound B that `prove`, `bench` and
-# `stats --sample` accept.  The product of the primes below 2^24 took 24 s
+# Largest log2 of the smoothness bound B that `stats --sample` accepts
+# (the prover's B is 2^20).  The product of the primes below 2^24 took 24 s
 # to build and 7.2 s more to convert to Decimal (2-core machine,
 # CPython 3.11), and each bit more doubles that.
 MAX_B_BITS = 24

@@ -30,7 +30,7 @@ def _pass(num: int, text: str) -> None:
 
 @pytest.fixture(scope="module")
 def config(cache_dir):
-    return prover.ProveConfig(seed=0, b_bits=20, cache_dir=cache_dir)
+    return prover.ProveConfig(seed=0, cache_dir=cache_dir)
 
 
 @pytest.fixture(scope="module")
@@ -402,20 +402,29 @@ def test_criterion_06d_scalar_mul_vs_enumeration():
 # 7. class polynomial integrality
 
 
-def test_criterion_07_class_poly_integrality(discs2000):
+def test_criterion_07_class_poly_integrality(monkeypatch, discs2000):
     known = {-3: [0, 1], -4: [-1728, 1], -7: [3375, 1]}
     for d, coeffs in known.items():
         assert cm.hilbert_class_poly(d).coeffs == coeffs
+    real, residuals = cm._expand, []
+
+    def spy(*args):
+        coeffs, residual = real(*args)
+        residuals.append(residual)
+        return coeffs, residual
+
+    monkeypatch.setattr(cm, "_expand", spy)
     count = 0
     worst = 0.0
     for d, h in discs2000:
         if h > 16:
             continue
+        residuals.clear()
         poly = cm.hilbert_class_poly(d)
         assert poly.degree == h, d
         assert poly.coeffs[-1] == 1
-        assert poly.residual < 1e-6, (d, poly.residual)
-        worst = max(worst, poly.residual)
+        assert residuals[0] < 1e-6, (d, residuals[0])  # the first attempt
+        worst = max(worst, residuals[0])
         count += 1
     assert count > 400
     _pass(7, f"{count} class polynomials (|D| <= 2000, h <= 16) integral at "

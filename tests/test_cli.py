@@ -108,11 +108,8 @@ def test_bench_give_up_exits_3(monkeypatch, capsys, cache_dir):
 
 
 @pytest.mark.parametrize("argv", [
-    ["prove", "97", "--b-bits", "5"],
     ["prove", "1"],
     ["prove", "0"],
-    ["bench", "20", "--b-bits", "5"],
-    ["prove", "97", "--b-bits", "25"],
 ])
 def test_bad_search_option_or_small_number_exits_2(capsys, argv):
     assert run_cli([*argv, "--quiet"]) == 2
@@ -127,10 +124,13 @@ def test_bad_search_option_or_small_number_exits_2(capsys, argv):
     ["prove", "97", "--dmax", "16"],
     ["bench", "21", "--maxparts", "3"],
     ["bench", "21", "--max-digits", "50"],
+    ["prove", "97", "--b-bits", "5"],
+    ["bench", "20", "--b-bits", "5"],
+    ["prove", "97", "--b-bits", "25"],
 ])
 def test_removed_search_options_are_refused(capsys, argv):
-    """The search shape is fixed: an old command line that sets it fails
-    before any proving instead of being ignored."""
+    """The search shape and the smoothness bound are fixed: an old command
+    line that sets them fails before any proving instead of being ignored."""
     with pytest.raises(SystemExit) as exc:
         run_cli(argv)
     assert exc.value.code == 2

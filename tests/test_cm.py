@@ -80,12 +80,14 @@ def test_reduced_forms_match_class_numbers(discs2000):
                 assert f.b >= 0
 
 
-def test_hilbert_class_poly_known_values():
+def test_hilbert_class_poly_known_values(monkeypatch):
+    attempts = _spy_expand(monkeypatch)
     for d, coeffs in KNOWN.items():
+        attempts.clear()
         got = cm.hilbert_class_poly(d)
         assert got.coeffs == coeffs, d
         assert got.coeffs == class_poly_oracle(d), d
-        assert got.residual < 1e-6
+        assert attempts[0][2] < 1e-6
 
 
 def test_hilbert_class_poly_against_oracle_sampled(table2000, discs2000):
@@ -200,15 +202,18 @@ def test_class_poly_digests():
 
 
 def _spy_expand(monkeypatch, result=None):
-    """Record every (wp, coefficients) that cm._expand rounds; `result`,
-    if given, replaces what an attempt returns: result(attempt, coeffs,
-    residual) -> (coeffs, residual)."""
+    """Record every (wp, coefficients, residual) that cm._expand rounds;
+    `result`, if given, replaces what an attempt returns: result(attempt,
+    coeffs, residual) -> (coeffs, residual), and the replaced residual is
+    the one recorded."""
     real, attempts = cm._expand, []
 
     def spy(d, forms, wp, cube_roots):
         coeffs, residual = real(d, forms, wp, cube_roots)
-        attempts.append((wp, coeffs))
-        return result(len(attempts), coeffs, residual) if result else (coeffs, residual)
+        if result:
+            coeffs, residual = result(len(attempts) + 1, coeffs, residual)
+        attempts.append((wp, coeffs, residual))
+        return coeffs, residual
 
     monkeypatch.setattr(cm, "_expand", spy)
     return attempts
@@ -225,24 +230,27 @@ def test_precision_formula_covers_coefficients(monkeypatch):
         evaluated = attempts[0][1]
         assert (evaluated == poly.coeffs) == (d % 3 == 0), d
         maxbits = max(abs(c).bit_length() for c in evaluated)
-        assert poly.precision_bits >= maxbits, d
-        assert poly.residual < 1e-6
+        assert cm.precision_for(d, cm.reduced_forms(d), d % 3 != 0) >= maxbits, d
+        assert attempts[0][2] < 1e-6
 
 
-def test_gamma2_path_matches_j_path(discs2000):
+def test_gamma2_path_matches_j_path(monkeypatch, discs2000):
     """For every fundamental D prime to 3 with |D| <= 2000, H_D recovered
     from gamma2 equals H_D evaluated from j at full precision."""
+    real = cm._expand
+    attempts = _spy_expand(monkeypatch)
     checked = 0
     for d, h in discs2000:
         if d % 3 == 0:
             continue
         forms = cm.reduced_forms(d)
         wp = j_path_precision(d, forms) + 32 + h.bit_length()
-        coeffs, residual = cm._expand(d, forms, wp, False)
+        coeffs, residual = real(d, forms, wp, False)
         assert residual < 1e-6, d
+        attempts.clear()
         poly = cm.hilbert_class_poly(d)
         assert poly.coeffs == coeffs, d
-        assert poly.residual < 1e-6, d
+        assert attempts[0][2] < 1e-6, d
         checked += 1
     assert checked > 400
 
@@ -262,12 +270,13 @@ def test_j_path_first_attempt_matches_a_wider_guard(monkeypatch, discs2000):
         forms = cm.reduced_forms(d)
         poly = cm.hilbert_class_poly(d)
         assert len(attempts) == 1, d
-        assert poly.precision_bits == cm.precision_for(d, forms) < j_path_precision(d, forms)
+        assert attempts[0][0] == cm.precision_for(d, forms) + 32 + len(forms).bit_length()
+        assert cm.precision_for(d, forms) < j_path_precision(d, forms)
         wp = j_path_precision(d, forms) + 32 + len(forms).bit_length()
         old, residual = real(d, forms, wp, False)
         assert residual < 1e-6, d
         assert attempts[0][1] == poly.coeffs == old, d
-        assert poly.residual < 1e-6, d
+        assert attempts[0][2] < 1e-6, d
 
 
 @pytest.mark.parametrize("d", [-20708, -10643])
@@ -289,8 +298,7 @@ def test_precision_retry_after_a_bad_first_attempt(monkeypatch, d):
 
     attempts = _spy_expand(monkeypatch, first_off)
     poly = cm.hilbert_class_poly(d)
-    assert [wp for wp, _ in attempts] == [attempts[0][0], 2 * attempts[0][0]]
-    assert poly.residual == 0.3
+    assert [wp for wp, _, _ in attempts] == [attempts[0][0], 2 * attempts[0][0]]
     assert _digest(poly.coeffs) == CLASS_POLY_DIGESTS[d]
 
 
@@ -300,7 +308,7 @@ def test_precision_retry_cap_raises(monkeypatch, d):
     with pytest.raises(PrecisionError):
         cm.hilbert_class_poly(d)
     wp = attempts[0][0]
-    assert [w for w, _ in attempts] == [wp << i for i in range(cm._MAX_PRECISION_RETRIES + 1)]
+    assert [w for w, _, _ in attempts] == [wp << i for i in range(cm._MAX_PRECISION_RETRIES + 1)]
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import random
 import re
@@ -49,17 +50,13 @@ def test_choose_k_empty_pool():
     assert prover.choose_k((1 << 100) + 3, [], 1 << 20) is None
 
 
-@pytest.mark.parametrize("b_bits, ok", [(9, False), (10, True), (24, True), (25, False)])
-def test_config_b_bits_range(b_bits, ok):
-    """B is 2^10..2^24 for `prove`, as for `stats.sample`."""
-    config = prover.ProveConfig(b_bits=b_bits)
-    if ok:
-        config.validate()
-    else:
-        with pytest.raises(ValueError, match="b_bits out of range"):
-            config.validate()
-        with pytest.raises(ValueError, match="b_bits out of range"):
-            prover.prove(97, config)
+def test_config_fields_and_fixed_smoothness_bound():
+    """B = 2^20 is a constant of the prover, not a setting."""
+    assert [f.name for f in dataclasses.fields(prover.ProveConfig)] == [
+        "workers", "seed", "cache_dir", "verbose"]
+    assert prover.ProveConfig().b_bits == 20
+    with pytest.raises(TypeError):
+        prover.ProveConfig(b_bits=20)
 
 
 def test_quartic_floor_examples():
